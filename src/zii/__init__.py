@@ -40,7 +40,7 @@ from .errors import (
     UndeclaredSymbol,
     ZiiError,
 )
-from .inverse import ExactInverse, det_bareiss, det_cofactor, invert_exact
+from .inverse import ExactInverse, invert_exact
 from .measures import (
     BUILTIN_FAMILIES,
     BaseMeasure,
@@ -117,8 +117,6 @@ __all__ = [
     "check_product_form",
     "collapse_order",
     "compute_mask",
-    "det_bareiss",
-    "det_cofactor",
     "disk_quadratic",
     "invert_exact",
     "kibble_gamma",

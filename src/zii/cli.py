@@ -1,7 +1,7 @@
 """Command-line surface: mask, matrix, inverse, equations, collapse, check.
 
-Output on stdout is byte-deterministic for identical inputs (including
-across ZII_THREADS settings); wall-clock timing goes to stderr only.
+Output on stdout is byte-deterministic for identical inputs; wall-clock
+timing goes to stderr only.
 Exit codes: 0 success, 2 parse errors, 3 singular matrix, 4 unsupported
 request or numeric failure, 5 constraint violation at a point.
 """

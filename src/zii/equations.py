@@ -26,7 +26,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import SingularMatrix
-from .inverse import blocked_cofactors, determinant
+from .inverse import det_and_cofactors
 from .measures import DensityFamily
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
 from .poly import Poly
@@ -161,15 +161,12 @@ def zii_equations(
         matrix = build_matrix(family_or_matrix, degree)
     basis = matrix.basis
     mask = compute_mask(basis)
-    rows = matrix.rows()
-    det = determinant(rows)
+    # symmetric matrix: adj(r, c) == cofactor(r, c) == cofactor(c, r)
+    det, raws = det_and_cofactors(matrix.rows(), mask.pairs)
     if det.is_zero:
         raise SingularMatrix(
             f"moment matrix at degree {basis.degree} is identically singular"
         )
-
-    # symmetric matrix: adj(r, c) == cofactor(r, c) == cofactor(c, r)
-    raws = blocked_cofactors(rows, mask.pairs)
     stripped = []
     for raw in raws:
         if reduce:

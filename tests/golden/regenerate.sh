@@ -1,10 +1,11 @@
 #!/bin/sh
-# Regenerate every golden file from the installed `zii` CLI.
+# Regenerate every golden file from the checkout's `zii` CLI (no install needed).
 # Run from the repository root:  sh tests/golden/regenerate.sh
 set -eu
 cd "$(dirname "$0")/../.."
 G=tests/golden
 export ZII_THREADS=1
+zii() { PYTHONPATH=src python3 -m zii "$@"; }
 
 zii mask --degree 2                                                    > "$G/mask-degree-2.txt"        2>/dev/null
 zii mask --degree 2 --format svg                                       > "$G/mask-degree-2.svg"        2>/dev/null

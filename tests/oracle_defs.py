@@ -2,7 +2,10 @@
 
 Everything here is written directly from the defining integrals or from
 sympy's own primitives, deliberately not reusing the package's code, so
-that agreement between the two is evidence rather than tautology.
+that agreement between the two is evidence rather than tautology.  The
+polynomial determinant oracles use the package's Poly arithmetic, but an
+elimination the engine does not share: one Bareiss pass, or a cofactor
+expansion, per determinant and per minor.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import math
 from fractions import Fraction
 
 import sympy
+
+from zii.poly import Poly
 
 
 def rising_oracle(shape: Fraction, n: int) -> Fraction:
@@ -88,3 +93,69 @@ def det_oracle(rows: list[list[Fraction]]) -> Fraction:
         sub = det_oracle(minor)
         total += (-1) ** c * rows[0][c] * sub
     return total
+
+
+def det_bareiss(rows: list[list[Poly]]) -> Poly:
+    """Fraction-free Bareiss determinant over Poly; input is not modified."""
+    n = len(rows)
+    table = rows[0][0].table
+    work = [list(r) for r in rows]
+    sign = 1
+    prev = Poly.const(table, 1)
+    for k in range(n - 1):
+        if work[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not work[i][k].is_zero), None)
+            if swap is None:
+                return Poly.zero(table)
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (pivot * work[i][j] - work[i][k] * work[k][j]).exact_divide(prev)
+            work[i][k] = Poly.zero(table)
+        prev = pivot
+    det = work[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def det_cofactor(rows: list[list[Poly]]) -> Poly:
+    """Expansion along the first row, memoized on active column sets (small n only)."""
+    n = len(rows)
+    table = rows[0][0].table
+    memo: dict[tuple[int, ...], Poly] = {}
+
+    def minor(depth: int, cols: tuple[int, ...]) -> Poly:
+        if not cols:
+            return Poly.const(table, 1)
+        if cols in memo:
+            return memo[cols]
+        total = Poly.zero(table)
+        for pos, c in enumerate(cols):
+            entry = rows[depth][c]
+            if entry.is_zero:
+                continue
+            term = entry * minor(depth + 1, cols[:pos] + cols[pos + 1:])
+            total = total - term if pos % 2 else total + term
+        memo[cols] = total
+        return total
+
+    return minor(0, tuple(range(n)))
+
+
+def minor_det(rows: list[list[Poly]], skip_row: int, skip_col: int) -> Poly:
+    """Bareiss determinant of the matrix with one row and one column struck."""
+    sub = [
+        [rows[i][j] for j in range(len(rows)) if j != skip_col]
+        for i in range(len(rows))
+        if i != skip_row
+    ]
+    if not sub:
+        return Poly.const(rows[0][0].table, 1)
+    return det_bareiss(sub)
+
+
+def cofactor(rows: list[list[Poly]], r: int, c: int) -> Poly:
+    """Signed minor C_rc = (-1)^(r+c) det(M with row r, column c removed)."""
+    m = minor_det(rows, r, c)
+    return -m if (r + c) % 2 else m

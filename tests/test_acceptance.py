@@ -138,7 +138,7 @@ def test_criterion_03_sum_power_exp_collapse():
         # the engine's raw degree-1 value at the mask position is exactly
         # that minor up to the cofactor sign: cofactor(2,3) = -minor(2,3),
         # so "equation = 0" and "v = 0" cut out the same set
-        from zii.inverse import cofactor
+        from oracle_defs import cofactor
 
         m = build_matrix(fam, 1)
         raw = cofactor(m.rows(), 1, 2)

@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,19 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 REGEN = GOLDEN_DIR / "regenerate.sh"
+SRC = str(REPO_ROOT / "src")
 
 
 def run_cli(args, threads="1", cwd=REPO_ROOT, input_text=None):
-    env = dict(os.environ, ZII_THREADS=threads)
+    # run the checkout's package, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        ZII_THREADS=threads,
+        PYTHONPATH=SRC + os.pathsep + path if path else SRC,
+    )
     return subprocess.run(
-        ["zii", *args],
+        [sys.executable, "-m", "zii", *args],
         capture_output=True,
         text=True,
         env=env,

@@ -12,7 +12,6 @@ from zii.equations import (
     reduce_by_determinant,
     zii_equations,
 )
-from zii.inverse import cofactor, det_bareiss
 from zii.measures import (
     bilinear_box,
     disk_quadratic,
@@ -21,7 +20,7 @@ from zii.measures import (
 )
 from zii.moments import build_basis, build_matrix
 
-from oracle_defs import mask_bruteforce_oracle
+from oracle_defs import cofactor, det_bareiss, mask_bruteforce_oracle
 
 
 class TestMask:

@@ -105,7 +105,7 @@ class TestFrozenMatrices:
 
     def test_sum_power_exp_determinant_closed_form(self):
         # det M_1 for the power-sum family reduces to (ell+2)^2 (ell+3) / 12
-        from zii.inverse import det_bareiss
+        from oracle_defs import det_bareiss
 
         fam = sum_power_exp()
         rows = build_matrix(fam, 1).rows()
