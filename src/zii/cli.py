@@ -23,6 +23,7 @@ from .collapse import (
 from .dsl import parse_density_spec
 from .equations import compute_mask, zii_equations
 from .errors import (
+    ArgumentOutOfRange,
     ConstraintViolation,
     DegreeOutOfRange,
     DslError,
@@ -88,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--witnesses", type=int, default=None, metavar="N",
-                   help="cap on admitted witnesses per degree")
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+                   help="cap on admitted witnesses per degree (at least 1)")
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS, metavar="N",
+                   help="sample points per parameter in the grid fallback (at least 2)")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("check", help="product-form and residual checks at a point")
@@ -98,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter assignment (exact rationals)")
     p.add_argument("--degree", type=int, default=None,
                    help="also invert the float moment matrix at this degree")
-    p.add_argument("--max-pq", type=int, default=3,
-                   help="orders covered by the factorization residual table")
+    p.add_argument("--max-pq", type=int, default=3, metavar="N",
+                   help="orders covered by the factorization residual table "
+                        f"(0..{MASK_DEGREE_CAP})")
     p.add_argument("--out", metavar="FILE")
     return parser
 
@@ -137,6 +140,12 @@ def _parse_point(text: str) -> dict[str, Fraction]:
 def _check_degree_cap(degree: int, cap: int = MASK_DEGREE_CAP):
     if degree < 0 or degree > cap:
         raise DegreeOutOfRange(f"degree must lie in 0..{cap}, got {degree}")
+
+
+def _check_range(flag: str, value: int, low: int, high: int | None = None):
+    if value < low or (high is not None and value > high):
+        allowed = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ArgumentOutOfRange(f"{flag} must be {allowed}, got {value}")
 
 
 def _run_mask(args) -> tuple[dict, str]:
@@ -184,6 +193,9 @@ def _run_equations(args) -> tuple[dict, str]:
 
 def _run_collapse(args) -> tuple[dict, str]:
     _check_degree_cap(args.max_degree)
+    _check_range("--grid-points", args.grid_points, 2)
+    if args.witnesses is not None:
+        _check_range("--witnesses", args.witnesses, 1)
     family = _load_family(args)
     kwargs = {"grid_points": args.grid_points}
     if args.witnesses is not None:
@@ -201,6 +213,9 @@ def _run_collapse(args) -> tuple[dict, str]:
 
 
 def _run_check(args) -> tuple[dict, str]:
+    _check_range("--max-pq", args.max_pq, 0, MASK_DEGREE_CAP)
+    if args.degree is not None:
+        _check_degree_cap(args.degree)
     family = _load_family(args)
     point = _parse_point(args.at)
     verdict = check_product_form(family, point)
@@ -220,7 +235,6 @@ def _run_check(args) -> tuple[dict, str]:
     }
     arguments = {**_family_argument(args), "at": args.at, "max_pq": args.max_pq}
     if args.degree is not None:
-        _check_degree_cap(args.degree)
         nd = numeric_density(family, point)
         res = numeric_zii_residuals(nd, args.degree)
         results["numeric"] = {

@@ -11,11 +11,15 @@ then escapes the degree-d truncation.  That set of positions is the mask.
 Requiring the inverse to vanish on the mask for a parameterized family
 turns, entry by entry, into polynomial equations on the parameters: the
 (r, c) entry of the inverse is adj(r, c)/det, so its numerator in lowest
-terms must vanish.  Each numerator is divided by its gcd with the
-determinant (the one place multivariate gcd is used, delegated to sympy),
-then stripped of rational content, monomials in positive symbols, and an
-overall sign.  Identical stripped equations from different mask positions
-are merged, keeping every originating position as provenance.
+terms must vanish.  The matrix splits into diagonal blocks, and a cofactor
+inside block b is C_b times the other blocks' determinants, which cancel
+from det; so each in-block cofactor C_b is divided by its gcd with det_b,
+its own block's determinant (the one place multivariate gcd is used,
+delegated to sympy).  The full determinant is never formed here.  The
+numerator is then stripped of rational content, monomials in positive
+symbols, and an overall sign.  Identical stripped equations from
+different mask positions are merged, keeping every originating position
+as provenance.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import SingularMatrix
-from .inverse import det_and_cofactors
+from .inverse import BlockCofactors, block_cofactors, det_and_cofactors
 from .measures import DensityFamily
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
 from .poly import Poly
@@ -130,15 +134,42 @@ def _from_sympy(sp: sympy.Poly, table: SymbolTable) -> Poly:
     return Poly(table, terms)
 
 
-def reduce_by_determinant(raw: Poly, det: Poly) -> Poly:
-    """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det)."""
+def _reduce(raw: Poly, det: sympy.Poly, gens: tuple[sympy.Symbol, ...]) -> Poly:
     if raw.is_zero:
         return raw
-    gens = _sympy_symbols(raw.table)
-    g = _to_sympy(raw, gens).gcd(_to_sympy(det, gens))
+    g = _to_sympy(raw, gens).gcd(det)
     if g.is_ground:
         return raw
     return raw.exact_divide(_from_sympy(g, raw.table))
+
+
+def reduce_by_determinant(raw: Poly, det: Poly) -> Poly:
+    """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det)."""
+    gens = _sympy_symbols(raw.table)
+    return _reduce(raw, _to_sympy(det, gens), gens)
+
+
+def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
+    """Numerators of adj/det in lowest terms, up to rational units.
+
+    A cofactor inside block b is C_b * P and det = det_b * P, where P is the
+    product of the other blocks' determinants, so its reduced numerator is
+    C_b / gcd(C_b, det_b): the gcd runs against the block's own determinant
+    and neither det nor any product with P is ever formed.
+    """
+    table = blocks.determinants[0].table
+    gens = _sympy_symbols(table)
+    dets = [_to_sympy(d, gens) for d in blocks.determinants]
+    zero = Poly.zero(table)
+    return [
+        zero if item is None else _reduce(item[1], dets[item[0]], gens)
+        for item in blocks.cofactors
+    ]
+
+
+def _require_nonsingular(dets, degree: int):
+    if any(d.is_zero for d in dets):
+        raise SingularMatrix(f"moment matrix at degree {degree} is identically singular")
 
 
 # -- extraction --------------------------------------------------------------
@@ -161,17 +192,16 @@ def zii_equations(
         matrix = build_matrix(family_or_matrix, degree)
     basis = matrix.basis
     mask = compute_mask(basis)
+    rows = matrix.rows()
     # symmetric matrix: adj(r, c) == cofactor(r, c) == cofactor(c, r)
-    det, raws = det_and_cofactors(matrix.rows(), mask.pairs)
-    if det.is_zero:
-        raise SingularMatrix(
-            f"moment matrix at degree {basis.degree} is identically singular"
-        )
-    stripped = []
-    for raw in raws:
-        if reduce:
-            raw = reduce_by_determinant(raw, det)
-        stripped.append(raw.strip_known_nonzero_factors())
+    if reduce:
+        blocks = block_cofactors(rows, mask.pairs)
+        _require_nonsingular(blocks.determinants, basis.degree)
+        numerators = _reduce_in_blocks(blocks)
+    else:
+        det, numerators = det_and_cofactors(rows, mask.pairs)
+        _require_nonsingular((det,), basis.degree)
+    stripped = [p.strip_known_nonzero_factors() for p in numerators]
     ordered: list[Poly] = []
     grouped: dict[Poly, list[tuple[int, int]]] = {}
     for pair, poly in zip(mask.pairs, stripped):

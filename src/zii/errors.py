@@ -37,6 +37,10 @@ class DegreeOutOfRange(ZiiError):
     """A truncation degree outside the supported range was requested."""
 
 
+class ArgumentOutOfRange(ZiiError):
+    """A count or order argument outside its documented range was requested."""
+
+
 class NoConvergence(ZiiError):
     """Adaptive quadrature hit its node cap before reaching the tolerance."""
 

@@ -3,7 +3,11 @@
 One engine computes all three by evaluation and interpolation.  The matrix
 is split into the diagonal blocks of its zero pattern first: a cofactor
 joining two blocks vanishes, and one inside a block is the block's own
-cofactor times the determinants of the other blocks.
+cofactor times the determinants of the other blocks.  `block_cofactors`
+returns that factored form: each block's determinant and each position's
+block and in-block cofactor.  The equations reduce every in-block cofactor
+against its own block's determinant, so they never need the products;
+`det_and_cofactors` multiplies them out for everything else.
 
 In each m x m block, a monomial common to every nonzero entry (PI on the
 disk) is factored out.  When the remaining entries are homogeneous of one
@@ -43,6 +47,8 @@ from .symbols import SymbolTable
 
 __all__ = [
     "connected_components",
+    "block_cofactors",
+    "BlockCofactors",
     "det_and_cofactors",
     "determinant",
     "blocked_cofactors",
@@ -278,11 +284,34 @@ def _mul(p: Scaled, q: Scaled) -> Scaled:
     return {e: c for e, c in out.items() if c}, p[1] * q[1]
 
 
+def _scaled(p: Poly) -> Scaled:
+    denom = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in p.terms.items()}, denom
+
+
+def _to_poly(table: SymbolTable, p: Scaled) -> Poly:
+    return Poly(table, {e: Fraction(c, p[1]) for e, c in p[0].items()})
+
+
 # -- whole matrix ---------------------------------------------------------------
 
 
-def det_and_cofactors(rows: Rows, positions=()) -> tuple[Poly, list[Poly]]:
-    """Determinant and the cofactors C(r, c) at `positions`, from one pass.
+@dataclass(frozen=True)
+class BlockCofactors:
+    """det(M) and cofactors of M, kept factored by the diagonal blocks.
+
+    det(M) is the product of `determinants`.  For the k-th requested
+    position, `cofactors[k]` is None when its row and column lie in
+    different blocks (the cofactor is zero), and otherwise (b, C_b): the
+    cofactor of M is C_b times the determinants of every block but b.
+    """
+
+    determinants: tuple[Poly, ...]
+    cofactors: tuple[tuple[int, Poly] | None, ...]
+
+
+def block_cofactors(rows: Rows, positions=()) -> BlockCofactors:
+    """Block determinants and in-block cofactors C(r, c) at `positions`, from one pass.
 
     C(r, c) = (-1)^(r+c) det(M with row r and column c removed), which is
     the adjugate entry adj(c, r).
@@ -305,15 +334,23 @@ def det_and_cofactors(rows: Rows, positions=()) -> tuple[Poly, list[Poly]]:
     for comp, want in zip(comps, wanted):
         want = list(want)
         det, values = _block_adjugate(_submatrix(rows, comp), want)
-        dets.append(det)
-        local.append(dict(zip(want, values)))
+        dets.append(_to_poly(table, det))
+        local.append({w: _to_poly(table, v) for w, v in zip(want, values)})
+    cofactors = []
+    for r, c in positions:
+        (br, lr), (bc, lc) = home[r], home[c]
+        cofactors.append((br, local[br][(lc, lr)]) if br == bc else None)
+    return BlockCofactors(tuple(dets), tuple(cofactors))
 
-    def to_poly(p: Scaled) -> Poly:
-        return Poly(table, {e: Fraction(c, p[1]) for e, c in p[0].items()})
 
+def det_and_cofactors(rows: Rows, positions=()) -> tuple[Poly, list[Poly]]:
+    """Determinant and the cofactors C(r, c) at `positions`: block_cofactors multiplied out."""
+    blocks = block_cofactors(rows, positions)
+    table = rows[0][0].table
+    dets = [_scaled(d) for d in blocks.determinants]
     one: Scaled = ({(0,) * len(table): 1}, 1)
     others = []
-    for b in range(len(comps)):
+    for b in range(len(dets)):
         prod = one
         for j, d in enumerate(dets):
             if j != b:
@@ -323,11 +360,10 @@ def det_and_cofactors(rows: Rows, positions=()) -> tuple[Poly, list[Poly]]:
     zero = Poly.zero(table)
     shared: dict[Poly, Poly] = {}  # equal cofactors share one object, to keep results small
     out = []
-    for r, c in positions:
-        (br, lr), (bc, lc) = home[r], home[c]
-        p = to_poly(_mul(local[br][(lc, lr)], others[br])) if br == bc else zero
+    for item in blocks.cofactors:
+        p = zero if item is None else _to_poly(table, _mul(_scaled(item[1]), others[item[0]]))
         out.append(shared.setdefault(p, p))
-    return to_poly(det), out
+    return _to_poly(table, det), out
 
 
 def determinant(rows: Rows) -> Poly:

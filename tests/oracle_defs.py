@@ -5,7 +5,10 @@ sympy's own primitives, deliberately not reusing the package's code, so
 that agreement between the two is evidence rather than tautology.  The
 polynomial determinant oracles use the package's Poly arithmetic, but an
 elimination the engine does not share: one Bareiss pass, or a cofactor
-expansion, per determinant and per minor.
+expansion, per determinant and per minor.  The equations oracle composes
+the package's own layers, but the other way round from the library: it
+multiplies the blocks out and reduces each full cofactor against the full
+determinant.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from fractions import Fraction
 
 import sympy
 
+from zii.equations import compute_mask, reduce_by_determinant
+from zii.inverse import det_and_cofactors
+from zii.moments import build_matrix
 from zii.poly import Poly
 
 
@@ -159,3 +165,19 @@ def cofactor(rows: list[list[Poly]], r: int, c: int) -> Poly:
     """Signed minor C_rc = (-1)^(r+c) det(M with row r, column c removed)."""
     m = minor_det(rows, r, c)
     return -m if (r + c) % 2 else m
+
+
+def equations_full_det_oracle(family, degree: int) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+    """(text, provenance pairs) of each stripped mask equation, merged in first-seen order.
+
+    Every raw cofactor adj(r, c) is reduced by its gcd with the whole
+    determinant of M_d, not with its own diagonal block's determinant.
+    """
+    matrix = build_matrix(family, degree)
+    mask = compute_mask(matrix.basis)
+    det, raws = det_and_cofactors(matrix.rows(), mask.pairs)
+    grouped: dict[Poly, list[tuple[int, int]]] = {}
+    for pair, raw in zip(mask.pairs, raws):
+        poly = reduce_by_determinant(raw, det).strip_known_nonzero_factors()
+        grouped.setdefault(poly, []).append(pair)
+    return [(poly.to_text(), tuple(pairs)) for poly, pairs in grouped.items()]

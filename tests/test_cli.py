@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from zii import cli
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 REGEN = GOLDEN_DIR / "regenerate.sh"
@@ -131,6 +133,53 @@ class TestExitCodes:
     def test_unknown_family_fails(self):
         res = run_cli(["equations", "--family", "nope", "--degree", "1"])
         assert res.returncode != 0
+
+
+BAD_NUMBERS = [
+    ["collapse", "--family", "bilinear-box", "--max-degree", "2", "--grid-points", "0"],
+    ["collapse", "--family", "bilinear-box", "--max-degree", "2", "--grid-points", "-5"],
+    ["collapse", "--family", "bilinear-box", "--max-degree", "2", "--grid-points", "1"],
+    ["collapse", "--family", "bilinear-box", "--max-degree", "2", "--witnesses", "-1"],
+    ["collapse", "--family", "bilinear-box", "--max-degree", "2", "--witnesses", "0"],
+    ["check", "--family", "sum-power-exp", "--at", "ell=1", "--max-pq", "-3"],
+    ["check", "--family", "sum-power-exp", "--at", "ell=1", "--max-pq", "15"],
+    ["check", "--family", "sum-power-exp", "--at", "ell=1", "--max-pq", "3000"],
+]
+
+
+class TestNumberValidation:
+    @pytest.mark.parametrize("args", BAD_NUMBERS, ids=[" ".join(a[-2:]) for a in BAD_NUMBERS])
+    def test_rejected_before_any_work(self, args, capsys, monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("validation must come before any work")
+
+        monkeypatch.setattr(cli, "_load_family", no_work)
+        assert cli.main(args) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {args[-2]} must be ")
+
+    def test_rejection_in_a_real_process_has_no_traceback(self):
+        res = run_cli(BAD_NUMBERS[0])
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == "error: --grid-points must be at least 2, got 0\n"
+
+    @pytest.mark.parametrize("args", [
+        ["collapse", "--family", "sum-power-exp", "--max-degree", "1",
+         "--grid-points", "2", "--witnesses", "1"],
+        ["check", "--family", "sum-power-exp", "--at", "ell=1", "--max-pq", "0"],
+    ])
+    def test_smallest_allowed_values_run(self, args, capsys):
+        assert cli.main(args) == 0
+        assert "digest: " in capsys.readouterr().out
+
+    def test_help_states_the_ranges(self, capsys):
+        for command, needle in (("collapse", "at least 2"), ("check", "(0..14)")):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            assert needle in " ".join(capsys.readouterr().out.split())
 
 
 class TestOutputHygiene:

@@ -12,15 +12,20 @@ from zii.equations import (
     reduce_by_determinant,
     zii_equations,
 )
+from zii.errors import SingularMatrix
+from zii.inverse import block_cofactors, det_and_cofactors
 from zii.measures import (
+    BUILTIN_FAMILIES,
     bilinear_box,
     disk_quadratic,
     product_exponential,
     sum_power_exp,
 )
-from zii.moments import build_basis, build_matrix
+from zii.moments import MomentMatrix, build_basis, build_matrix
+from zii.poly import Poly
+from zii.symbols import SymbolTable
 
-from oracle_defs import cofactor, det_bareiss, mask_bruteforce_oracle
+from oracle_defs import cofactor, det_bareiss, equations_full_det_oracle, mask_bruteforce_oracle
 
 
 class TestMask:
@@ -145,3 +150,79 @@ class TestEquationExtraction:
         via_family = zii_equations(fam, 1)
         via_matrix = zii_equations(build_matrix(fam, 1))
         assert via_family.texts() == via_matrix.texts()
+
+
+DIFFERENTIAL_CASES = [(name, d) for name in sorted(BUILTIN_FAMILIES) for d in (1, 2)] + [
+    ("sum-power-exp", 3),
+    ("product-exponential", 3),
+    ("bilinear-box", 3),
+]
+
+
+class TestBlockReductionAgainstFullDeterminant:
+    """Reducing against the block determinant equals reducing against det."""
+
+    @pytest.mark.parametrize("name,d", DIFFERENTIAL_CASES)
+    def test_texts_and_provenance_equal_oracle(self, name, d):
+        system = zii_equations(BUILTIN_FAMILIES[name](), d)
+        got = [(e.poly.to_text(), e.pairs) for e in system.entries]
+        assert got == equations_full_det_oracle(BUILTIN_FAMILIES[name](), d)
+
+    def test_disk_degree_three_reduced_divides_raw(self):
+        # blocks of order 4 and 6; each equation divides its full cofactor
+        matrix = build_matrix(disk_quadratic(), 3)
+        mask = compute_mask(matrix.basis)
+        assert len(block_cofactors(matrix.rows()).determinants) == 2
+        _, raws = det_and_cofactors(matrix.rows(), mask.pairs)
+        system = zii_equations(matrix)
+        reduced = {p: e.poly for e in system.entries for p in e.pairs}
+        for pair, raw in zip(mask.pairs, raws):
+            red = reduced[pair]
+            if raw.is_zero:
+                assert red.is_zero
+                continue
+            assert red * raw.exact_divide(red) == raw
+
+
+T = SymbolTable.build(["s", "t"])
+S, TT, ONE, ZERO = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1), Poly.zero(T)
+
+
+def degree_one_matrix(rows) -> MomentMatrix:
+    # a hand-built 3 x 3 "moment matrix"; the degree-1 mask is position (1, 2)
+    return MomentMatrix(None, build_basis(1), tuple(tuple(r) for r in rows))
+
+
+class TestHandBuiltBlocks:
+    def test_other_block_factor_shared_with_cofactor_is_kept(self):
+        # blocks {0} and {1, 2}; C(1, 2) = -(s+1)^2 and det = (s+1)(t^2 - (s+1)^2),
+        # so M^-1[1][2] = -(s+1) / (t^2 - (s+1)^2).  The in-block cofactor
+        # -(s+1) shares s+1 with the other block's determinant, which must
+        # not be divided out of it.
+        a = S + ONE
+        rows = [[a, ZERO, ZERO], [ZERO, TT, a], [ZERO, a, TT]]
+        blocks = block_cofactors(rows, [(1, 2)])
+        assert blocks.determinants == (a, TT * TT - a * a)
+        assert blocks.cofactors == ((1, -a),)
+        (entry,) = zii_equations(degree_one_matrix(rows)).entries
+        assert entry.poly.to_text() == "s + 1"
+        assert entry.pairs == ((1, 2),)
+        det, (raw,) = det_and_cofactors(rows, [(1, 2)])
+        assert reduce_by_determinant(raw, det).strip_known_nonzero_factors() == entry.poly
+
+    def test_position_across_blocks_gives_zero_equation(self):
+        # blocks {0, 1} and {2}; the mask position (1, 2) joins them
+        rows = [[S, ONE, ZERO], [ONE, TT, ZERO], [ZERO, ZERO, S + TT]]
+        assert block_cofactors(rows, [(1, 2)]).cofactors == (None,)
+        for reduce in (True, False):
+            (entry,) = zii_equations(degree_one_matrix(rows), reduce=reduce).entries
+            assert entry.is_trivial
+            assert entry.pairs == ((1, 2),)
+
+    def test_identically_singular_block_raises(self):
+        # block {1, 2} has equal rows; block {0} is regular
+        rows = [[S, ZERO, ZERO], [ZERO, TT, TT], [ZERO, TT, TT]]
+        assert block_cofactors(rows).determinants == (S, ZERO)
+        for reduce in (True, False):
+            with pytest.raises(SingularMatrix, match="identically singular"):
+                zii_equations(degree_one_matrix(rows), reduce=reduce)

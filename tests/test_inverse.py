@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from zii.errors import SingularMatrix, SymbolTableMismatch
 from zii.inverse import (
+    block_cofactors,
     blocked_cofactors,
     connected_components,
     det_and_cofactors,
@@ -260,6 +261,23 @@ class TestEngineAgainstBareiss:
         for comp in connected_components(rows):
             block = [[rows[i][j] for j in comp] for i in comp]
             assert_matches_bareiss(block, symmetric=True)
+
+    def test_block_cofactors_are_the_blocks_own(self):
+        # disk d=2 splits into {0, 3, 4, 5} and {1, 2}: each block determinant
+        # and in-block cofactor is that of the block alone, cross pairs are None
+        rows = build_matrix(BUILTIN_FAMILIES["disk-quadratic"](), 2).rows()
+        comps = connected_components(rows)
+        n = len(rows)
+        positions = [(r, c) for r in range(n) for c in range(n)]
+        blocks = block_cofactors(rows, positions)
+        subs = [[[rows[i][j] for j in comp] for i in comp] for comp in comps]
+        assert blocks.determinants == tuple(det_bareiss(sub) for sub in subs)
+        for (r, c), item in zip(positions, blocks.cofactors):
+            (b,) = [k for k, comp in enumerate(comps) if r in comp]
+            if c not in comps[b]:
+                assert item is None
+            else:
+                assert item == (b, cofactor(subs[b], comps[b].index(r), comps[b].index(c)))
 
     def test_singular_node_takes_the_minor_fallback(self):
         # det = s^2 - 1 vanishes at s = 1, the first interpolation node
