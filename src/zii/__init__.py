@@ -57,14 +57,6 @@ from .measures import (
     sum_power_exp,
 )
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
-from .numeric import (
-    NumericDensity,
-    bessel_i0,
-    kibble_gamma,
-    numeric_density,
-    numeric_moment,
-    numeric_zii_residuals,
-)
 from .poly import Poly
 from .symbols import Assumption, PI_NAME, SymbolTable
 
@@ -132,3 +124,22 @@ __all__ = [
     "sum_power_exp",
     "zii_equations",
 ]
+
+# the float oracle needs numpy and scipy; load it on first use of one of
+# its names, so `import zii` stays free of both
+_NUMERIC_NAMES = frozenset({
+    "NumericDensity",
+    "bessel_i0",
+    "kibble_gamma",
+    "numeric_density",
+    "numeric_moment",
+    "numeric_zii_residuals",
+})
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC_NAMES:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,6 @@ from .errors import (
 from .inverse import invert_exact
 from .measures import BUILTIN_FAMILIES, DensityFamily
 from .moments import build_matrix
-from .numeric import numeric_density, numeric_zii_residuals
 from .reports import (
     collapse_payload,
     equations_payload,
@@ -235,6 +234,8 @@ def _run_check(args) -> tuple[dict, str]:
     }
     arguments = {**_family_argument(args), "at": args.at, "max_pq": args.max_pq}
     if args.degree is not None:
+        from .numeric import numeric_density, numeric_zii_residuals
+
         nd = numeric_density(family, point)
         res = numeric_zii_residuals(nd, args.degree)
         results["numeric"] = {

@@ -14,10 +14,17 @@ Pipeline for one cumulative equation system:
   3. if one parameter remains, intersect the exact real-root sets of the
      residual equations (gcd, divisor test, Sturm isolation);
   4. otherwise sample a deterministic grid over the declared (or default)
-     bounds, tally sign patterns, and recover exact witnesses by solving
-     the last residual equation for the last free parameter along each
-     grid slice; every candidate is re-checked exactly before being
-     called a witness.
+     bounds on an integer lattice: every axis is s = a + b*k with b > 0,
+     so each residual is substituted once into an integer polynomial in
+     the grid indices k (scaled by a positive integer, which keeps every
+     sign and zero).  The walk fixes indices with integer arithmetic,
+     tallies sign patterns along the last axis by integer Horner, and
+     recovers exact witnesses by solving the last residual equation for
+     the last index along each grid slice, mapping roots back to s.
+     Rational points are built only for candidates, and every candidate
+     is re-checked exactly before being called a witness.  The counts,
+     witnesses and notes are those of evaluating each grid point in
+     rational arithmetic.
 
 A degree collapses when admissible witnesses exist and every one of them
 puts the density in product form; the verdict is witness-based, which the
@@ -30,15 +37,16 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .equations import EquationSystem, zii_equations
-from .errors import ConstraintViolation
+from .errors import ArgumentOutOfRange, ConstraintViolation
 from .measures import DensityFamily, ParamDecl, UnitDisk
 from .poly import Poly
-from .roots import RealRoots, rational_roots, real_roots, uni_eval, uni_gcd
+from .roots import RealRoots, rational_roots, real_roots, uni_gcd
 from .symbols import Assumption, PI_NAME
 
 __all__ = [
@@ -127,19 +135,32 @@ def default_bounds(decl: ParamDecl) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def grid_values(decl: ParamDecl, points: int = DEFAULT_GRID_POINTS) -> list[Fraction]:
+def grid_lattice(
+    decl: ParamDecl, points: int = DEFAULT_GRID_POINTS
+) -> tuple[Fraction, Fraction, int]:
+    """(a, b, n) with b > 0: the grid of `decl` is a + b*k for k in range(n).
+
+    Declared or default bounds are sampled at `points` evenly spaced values;
+    nonnegative integers are enumerated, strided down to at most `points`.
+    A one-point axis gets b = 1, where only k = 0 is visited.
+    """
     lo, hi = default_bounds(decl)
     if decl.assumption is Assumption.NONNEG_INT:
         start, stop = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
-        ints = list(range(start, stop + 1))
-        if len(ints) > points:
-            stride = -(-len(ints) // points)
-            ints = ints[::stride]
-        return [Fraction(k) for k in ints]
+        count = max(stop - start + 1, 0)
+        stride = 1
+        if count > points:
+            stride = -(-count // points)
+            count = -(-count // stride)
+        return Fraction(start), Fraction(stride), count
     if lo == hi or points <= 1:
-        return [lo]
-    step = (hi - lo) / (points - 1)
-    return [lo + k * step for k in range(points)]
+        return lo, Fraction(1), 1
+    return lo, (hi - lo) / (points - 1), points
+
+
+def grid_values(decl: ParamDecl, points: int = DEFAULT_GRID_POINTS) -> list[Fraction]:
+    a, b, n = grid_lattice(decl, points)
+    return [a + b * k for k in range(n)]
 
 
 # -- elimination -------------------------------------------------------------
@@ -234,12 +255,22 @@ def solve_univariate(poly: Poly) -> RealRoots:
 # -- the analysis pipeline -----------------------------------------------------
 
 
+def _check_sampling_arguments(grid_points: int, witness_cap: int):
+    # one grid point per axis would sample a single point, so fewer than two
+    # (or no witnesses at all) cannot back a verdict
+    if grid_points < 2:
+        raise ArgumentOutOfRange(f"grid_points must be at least 2, got {grid_points}")
+    if witness_cap < 1:
+        raise ArgumentOutOfRange(f"witness_cap must be at least 1, got {witness_cap}")
+
+
 def analyze_system(
     system: EquationSystem | Iterable[Poly],
     family: DensityFamily,
     grid_points: int = DEFAULT_GRID_POINTS,
     witness_cap: int = WITNESS_CAP,
 ) -> SolutionAnalysis:
+    _check_sampling_arguments(grid_points, witness_cap)
     if isinstance(system, EquationSystem):
         polys = [e.poly for e in system.entries]
     else:
@@ -406,6 +437,40 @@ def _univariate_analysis(
     )
 
 
+def _lattice_terms(
+    poly: Poly, syms: Sequence[str], lattices: Sequence[tuple[Fraction, Fraction, int]]
+) -> dict[tuple[int, ...], int]:
+    """poly at s = a + b*k on every axis, as integer terms in the k's.
+
+    The result is scaled by a positive integer that clears denominators,
+    which keeps the sign and every zero of poly at each lattice point.
+    """
+    idx = [poly.table.index(n) for n in syms]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in poly.terms.items():
+        partial = {(): coeff}
+        for i, (a, b, _) in zip(idx, lattices):
+            e = exps[i]
+            # (a + b*k)^e by the binomial theorem
+            powers = [(j, math.comb(e, j) * a ** (e - j) * b ** j) for j in range(e + 1)]
+            partial = {
+                key + (j,): c * w for key, c in partial.items() for j, w in powers if w
+            }
+        for key, c in partial.items():
+            out[key] = out.get(key, 0) + c
+    scale = math.lcm(*(c.denominator for c in out.values()))
+    return {key: int(c * scale) for key, c in out.items() if c}
+
+
+def _fix_first(terms: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...], int]:
+    """Substitute the first lattice index by k."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in terms.items():
+        rest = exps[1:]
+        out[rest] = out.get(rest, 0) + c * k ** exps[0]
+    return {e: c for e, c in out.items() if c}
+
+
 def _sampled_analysis(
     family, equations, free, eliminations, original_equations,
     residual_texts, notes, grid_points, witness_cap=WITNESS_CAP,
@@ -413,18 +478,16 @@ def _sampled_analysis(
     # only symbols the equations mention are walked; the rest do not affect
     # sign patterns and are gridded at admission time to complete a witness
     involved = {s for p in equations for s in p.free_symbols()}
-    active = [n for n in free if n in involved]
+    syms = [n for n in free if n in involved]
     inactive = [n for n in free if n not in involved]
-    grids = {n: grid_values(_decl_for(family, n), grid_points) for n in active}
     points = grid_points
-    while points > 2:
-        total = 1
-        for g in grids.values():
-            total *= len(g)
-        if total <= GRID_LEAF_CAP:
+    while True:
+        lattices = [grid_lattice(_decl_for(family, n), points) for n in syms]
+        sizes = [n for _, _, n in lattices]
+        total = math.prod(sizes)
+        if points <= 2 or total <= GRID_LEAF_CAP:
             break
         points = (points + 1) // 2
-        grids = {n: grid_values(_decl_for(family, n), points) for n in active}
     if points != grid_points:
         notes = notes + [f"grid reduced to {points} points per axis to bound the walk"]
     if inactive:
@@ -434,19 +497,24 @@ def _sampled_analysis(
             + ") are gridded only when completing a witness"
         ]
 
-    syms = list(active)
-    axis = [grids[n] for n in syms]
-    last_decl = _decl_for(family, syms[-1])
-    # solved candidates outside the declared range would fail admission anyway
-    last_within = (last_decl.lower, last_decl.upper)
+    last = len(syms) - 1
+    last_decl = _decl_for(family, syms[last])
+    a_last, b_last, _ = lattices[last]
+    # solved candidates outside the declared range would fail admission
+    # anyway; the range is mapped onto the last axis's lattice index
+    last_within = tuple(
+        None if x is None else (x - a_last) / b_last
+        for x in (last_decl.lower, last_decl.upper)
+    )
     inactive_grids = [grid_values(_decl_for(family, n), grid_points) for n in inactive]
     sign_counts = [[0, 0, 0] for _ in equations]
     witnesses: list[Witness] = []
     seen: set[tuple] = set()
 
-    def admit_candidate(values: dict[str, Fraction]):
+    def admit_candidate(ks: tuple):
         if len(witnesses) >= witness_cap:
             return
+        values = {n: a + b * k for n, (a, b, _), k in zip(syms, lattices, ks)}
         key = tuple(sorted(values.items()))
         if key in seen:
             return
@@ -465,43 +533,48 @@ def _sampled_analysis(
             if w:
                 witnesses.append(w)
 
-    def walk(level: int, polys: list[Poly], assignment: dict[str, Fraction]):
-        if level == len(syms) - 1:
-            last = syms[level]
-            coeff_lists = [p.as_univariate(last) for p in polys]
-            for v in axis[level]:
-                all_zero = True
-                for k, cl in enumerate(coeff_lists):
-                    val = uni_eval(cl, v)
-                    slot = 1 if val == 0 else (0 if val < 0 else 2)
-                    sign_counts[k][slot] += 1
-                    if val != 0:
-                        all_zero = False
-                if all_zero:
-                    admit_candidate({**assignment, last: v})
-            # exact witnesses off the grid: solve the last non-constant
-            # residual equation for the last symbol on this slice
-            for cl in reversed(coeff_lists):
-                if len(cl) > 1:
-                    for root in rational_roots(cl, within=last_within):
-                        admit_candidate({**assignment, last: root})
-                    break
-        else:
-            name = syms[level]
-            for v in axis[level]:
-                walk(
-                    level + 1,
-                    [p.substitute({name: v}) for p in polys],
-                    {**assignment, name: v},
-                )
+    def walk(level: int, polys: list[dict], ks: tuple):
+        if level < last:
+            for k in range(sizes[level]):
+                walk(level + 1, [_fix_first(p, k) for p in polys], ks + (k,))
+            return
+        n = sizes[last]
+        coeff_lists = []
+        zeros = range(n)
+        for counts, terms in zip(sign_counts, polys):
+            cl = [0] * (max((e for e, in terms), default=0) + 1)
+            for (e,), c in terms.items():
+                cl[e] = c
+            coeff_lists.append(cl)
+            # integer Horner over k = 0..n-1; the leading coefficient is
+            # nonzero, so the first step is the progression lead*k + next
+            if len(cl) == 1:
+                vals = [cl[0]] * n
+            else:
+                vals = list(range(cl[-2], cl[-2] + cl[-1] * n, cl[-1]))
+                for c in reversed(cl[:-2]):
+                    vals = [v * k + c for k, v in enumerate(vals)]
+            neg = sum(map((0).__gt__, vals))
+            zero = vals.count(0)
+            counts[0] += neg
+            counts[1] += zero
+            counts[2] += n - neg - zero
+            zeros = [k for k in zeros if not vals[k]] if zero else ()
+        if len(witnesses) >= witness_cap:
+            return
+        for k in zeros:
+            admit_candidate(ks + (k,))
+        # exact witnesses off the grid: solve the last non-constant
+        # residual equation for the last index on this slice
+        for cl in reversed(coeff_lists):
+            if len(cl) > 1:
+                for root in rational_roots(cl, within=last_within):
+                    admit_candidate(ks + (root,))
+                break
 
-    walk(0, list(equations), {})
-    total = 1
-    for g in axis:
-        total *= len(g)
+    walk(0, [_lattice_terms(p, syms, lattices) for p in equations], ())
     grid = GridSummary(
-        tuple(syms), tuple(len(g) for g in axis), total,
-        tuple(tuple(c) for c in sign_counts),
+        tuple(syms), tuple(sizes), total, tuple(tuple(c) for c in sign_counts),
     )
     if len(witnesses) >= witness_cap:
         notes = notes + [f"witness collection capped at {witness_cap}"]
@@ -649,7 +722,9 @@ def collapse_order(
 
     The system analyzed at degree d is the union of the stripped systems
     for every degree up to d, so conclusions are monotone in d.
+    Raises ArgumentOutOfRange for grid_points < 2 or witness_cap < 1.
     """
+    _check_sampling_arguments(grid_points, witness_cap)
     cumulative: list[Poly] = []
     entries: list[DegreeReport] = []
     order = None

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import SingularMatrix
 from .inverse import BlockCofactors, block_cofactors, det_and_cofactors
 from .measures import DensityFamily
@@ -112,14 +110,19 @@ class EquationSystem:
         return ", ".join(f"({b.label(r)}, {b.label(c)})" for r, c in entry.pairs)
 
 
-# -- sympy bridge (kept local to this module on purpose) -----------------
+# -- sympy bridge (kept local to this module on purpose; sympy is imported
+# on first use, so `import zii` does not pay for it) -----------------------
 
 
 def _sympy_symbols(table: SymbolTable) -> tuple[sympy.Symbol, ...]:
+    import sympy
+
     return tuple(sympy.Symbol(n) for n in table.names)
 
 
 def _to_sympy(p: Poly, gens: tuple[sympy.Symbol, ...]) -> sympy.Poly:
+    import sympy
+
     data = {
         exps: sympy.Rational(c.numerator, c.denominator) for exps, c in p.terms.items()
     }
@@ -127,6 +130,8 @@ def _to_sympy(p: Poly, gens: tuple[sympy.Symbol, ...]) -> sympy.Poly:
 
 
 def _from_sympy(sp: sympy.Poly, table: SymbolTable) -> Poly:
+    import sympy
+
     terms = {}
     for monom, coeff in sp.terms():
         q = sympy.Rational(coeff)

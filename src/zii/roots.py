@@ -206,6 +206,10 @@ def rational_roots(
     if lo is not None and lo == hi:
         # pinned range: the only possible root is the pin itself
         return [lo] if uni_eval(p, lo) == 0 else []
+    if len(p) == 2:
+        # linear: the one root needs no divisor enumeration
+        root = Fraction(-p[0]) / p[1]
+        return [root] if (lo is None or lo <= root) and (hi is None or root <= hi) else []
     den_lcm = 1
     for c in p:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)

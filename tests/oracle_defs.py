@@ -8,21 +8,38 @@ elimination the engine does not share: one Bareiss pass, or a cofactor
 expansion, per determinant and per minor.  The equations oracle composes
 the package's own layers, but the other way round from the library: it
 multiplies the blocks out and reduces each full cofactor against the full
-determinant.
+determinant.  The grid-walk oracle samples the same grid as the library,
+but substitutes each Fraction grid value into the Poly residuals and
+evaluates every point by Horner's rule over Fractions, with no lattice
+and no integer scaling.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import sympy
 
+from zii.collapse import (
+    GRID_LEAF_CAP,
+    WITNESS_CAP,
+    GridSummary,
+    SolutionAnalysis,
+    SolveStatus,
+    Witness,
+    _admit,
+    _decl_for,
+    _elim_texts,
+    grid_values,
+)
 from zii.equations import compute_mask, reduce_by_determinant
 from zii.inverse import det_and_cofactors
 from zii.moments import build_matrix
 from zii.poly import Poly
+from zii.roots import rational_roots, uni_eval
 
 
 def rising_oracle(shape: Fraction, n: int) -> Fraction:
@@ -181,3 +198,120 @@ def equations_full_det_oracle(family, degree: int) -> list[tuple[str, tuple[tupl
         poly = reduce_by_determinant(raw, det).strip_known_nonzero_factors()
         grouped.setdefault(poly, []).append(pair)
     return [(poly.to_text(), tuple(pairs)) for poly, pairs in grouped.items()]
+
+
+def sampled_analysis_fraction(
+    family, equations, free, eliminations, original_equations,
+    residual_texts, notes, grid_points, witness_cap=WITNESS_CAP,
+) -> SolutionAnalysis:
+    """The grid walk in plain Fraction arithmetic, one Horner evaluation per point.
+
+    A drop-in for zii.collapse._sampled_analysis: it substitutes every grid
+    value into the Poly residuals level by level and evaluates the last axis
+    at each grid Fraction, so the integer lattice walk must return an equal
+    SolutionAnalysis.
+    """
+    # only symbols the equations mention are walked; the rest do not affect
+    # sign patterns and are gridded at admission time to complete a witness
+    involved = {s for p in equations for s in p.free_symbols()}
+    active = [n for n in free if n in involved]
+    inactive = [n for n in free if n not in involved]
+    grids = {n: grid_values(_decl_for(family, n), grid_points) for n in active}
+    points = grid_points
+    while points > 2:
+        total = 1
+        for g in grids.values():
+            total *= len(g)
+        if total <= GRID_LEAF_CAP:
+            break
+        points = (points + 1) // 2
+        grids = {n: grid_values(_decl_for(family, n), points) for n in active}
+    if points != grid_points:
+        notes = notes + [f"grid reduced to {points} points per axis to bound the walk"]
+    if inactive:
+        notes = notes + [
+            "parameters not in the residual equations ("
+            + ", ".join(inactive)
+            + ") are gridded only when completing a witness"
+        ]
+
+    syms = list(active)
+    axis = [grids[n] for n in syms]
+    last_decl = _decl_for(family, syms[-1])
+    # solved candidates outside the declared range would fail admission anyway
+    last_within = (last_decl.lower, last_decl.upper)
+    inactive_grids = [grid_values(_decl_for(family, n), grid_points) for n in inactive]
+    sign_counts = [[0, 0, 0] for _ in equations]
+    witnesses: list[Witness] = []
+    seen: set[tuple] = set()
+
+    def admit_candidate(values: dict[str, Fraction]):
+        if len(witnesses) >= witness_cap:
+            return
+        key = tuple(sorted(values.items()))
+        if key in seen:
+            return
+        seen.add(key)
+        if inactive:
+            for combo in itertools.product(*inactive_grids):
+                w = _admit(
+                    family, {**values, **dict(zip(inactive, combo))},
+                    eliminations, original_equations,
+                )
+                if w:
+                    witnesses.append(w)
+                    return
+        else:
+            w = _admit(family, values, eliminations, original_equations)
+            if w:
+                witnesses.append(w)
+
+    def walk(level: int, polys: list[Poly], assignment: dict[str, Fraction]):
+        if level == len(syms) - 1:
+            last = syms[level]
+            coeff_lists = [p.as_univariate(last) for p in polys]
+            for v in axis[level]:
+                all_zero = True
+                for k, cl in enumerate(coeff_lists):
+                    val = uni_eval(cl, v)
+                    slot = 1 if val == 0 else (0 if val < 0 else 2)
+                    sign_counts[k][slot] += 1
+                    if val != 0:
+                        all_zero = False
+                if all_zero:
+                    admit_candidate({**assignment, last: v})
+            # exact witnesses off the grid: solve the last non-constant
+            # residual equation for the last symbol on this slice
+            for cl in reversed(coeff_lists):
+                if len(cl) > 1:
+                    for root in rational_roots(cl, within=last_within):
+                        admit_candidate({**assignment, last: root})
+                    break
+        else:
+            name = syms[level]
+            for v in axis[level]:
+                walk(
+                    level + 1,
+                    [p.substitute({name: v}) for p in polys],
+                    {**assignment, name: v},
+                )
+
+    walk(0, list(equations), {})
+    total = 1
+    for g in axis:
+        total *= len(g)
+    grid = GridSummary(
+        tuple(syms), tuple(len(g) for g in axis), total,
+        tuple(tuple(c) for c in sign_counts),
+    )
+    if len(witnesses) >= witness_cap:
+        notes = notes + [f"witness collection capped at {witness_cap}"]
+    if not witnesses:
+        notes = notes + [
+            "no exact witness found on the sample; this is evidence, not a "
+            "proof that the system has no admissible solutions"
+        ]
+    return SolutionAnalysis(
+        SolveStatus.SAMPLED, residual_texts, _elim_texts(eliminations),
+        tuple(witnesses), (), grid, tuple(notes),
+    )

@@ -5,19 +5,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_defs import sampled_analysis_fraction
+from zii import collapse
 from zii.collapse import (
     DEFAULT_GRID_POINTS,
     ProductVerdict,
     SolveStatus,
     Witness,
+    analyze_system,
     check_product_form,
     collapse_order,
     default_bounds,
+    grid_lattice,
     grid_values,
     moment_factorization_check,
 )
-from zii.errors import ConstraintViolation
+from zii.dsl import parse_density_spec, parse_expression
+from zii.errors import ArgumentOutOfRange, ConstraintViolation
 from zii.measures import (
     Assumption,
     ParamDecl,
@@ -62,6 +69,23 @@ class TestGrids:
     def test_pinned_parameter_single_value(self):
         decl = ParamDecl("v", Assumption.POSITIVE, F(1), F(1))
         assert grid_values(decl, 21) == [F(1)]
+
+    @pytest.mark.parametrize(
+        "decl, points, lattice",
+        [
+            (ParamDecl("t", Assumption.NONE, F(0), F(1)), 5, (F(0), F(1, 4), 5)),
+            (ParamDecl("v", Assumption.POSITIVE, F(1), F(1)), 21, (F(1), F(1), 1)),
+            (ParamDecl("n", Assumption.NONNEG_INT, F(0), F(40)), 21, (F(0), F(2), 21)),
+            (ParamDecl("n", Assumption.NONNEG_INT, F(3), F(50)), 21, (F(3), F(3), 16)),
+            (ParamDecl("n", Assumption.NONNEG_INT, F(1, 2), F(3, 2)), 21, (F(1), F(1), 1)),
+            (ParamDecl("n", Assumption.NONNEG_INT, F(1, 3), F(2, 3)), 21, (F(1), F(1), 0)),
+        ],
+    )
+    def test_lattice_generates_the_grid(self, decl, points, lattice):
+        a, b, n = grid_lattice(decl, points)
+        assert (a, b, n) == lattice
+        assert b > 0
+        assert grid_values(decl, points) == [a + b * k for k in range(n)]
 
 
 class TestCollapseOrders:
@@ -116,6 +140,29 @@ class TestCollapseOrders:
         c1 = set(report.entry(1).cumulative)
         c2 = set(report.entry(2).cumulative)
         assert c1 <= c2
+
+
+class TestArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_points": 1}, {"grid_points": 0}, {"witness_cap": 0}, {"witness_cap": -1},
+    ])
+    def test_collapse_order_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ArgumentOutOfRange):
+            collapse_order(bilinear_box(), 1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_points": 1}, {"grid_points": 0}, {"witness_cap": 0}, {"witness_cap": -1},
+    ])
+    def test_analyze_system_rejects_out_of_range(self, kwargs):
+        fam = bilinear_box()
+        with pytest.raises(ArgumentOutOfRange):
+            analyze_system([residual(fam, "a00*a11 - a01*a10")], fam, **kwargs)
+
+    def test_smallest_values_are_accepted(self):
+        report = collapse_order(bilinear_box(), 1, grid_points=2, witness_cap=1)
+        analysis = report.entry(1).analysis
+        assert analysis.grid.axis_sizes == (2, 2, 2, 2)
+        assert len(analysis.witnesses) == 1
 
 
 class TestWitnessVerdicts:
@@ -199,3 +246,121 @@ class TestAnalysisDetails:
 
     def test_witness_text_empty(self):
         assert Witness(()).text() == "(empty)"
+
+
+def residual(family, text):
+    return parse_expression(text, family.table, allow_xy=False)[(0, 0)]
+
+
+def family_from(params, density="1 + x*y"):
+    return parse_density_spec(
+        f"family: walk\ndomain: unit-box\ndensity: {density}\nparams: {params}\n"
+    )
+
+
+def walks_agree(monkeypatch, equations, family, **kwargs):
+    """The lattice walk and the Fraction-walk oracle give equal analyses."""
+    lattice = analyze_system(equations, family, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(collapse, "_sampled_analysis", sampled_analysis_fraction)
+        fraction = analyze_system(equations, family, **kwargs)
+    assert lattice.status is SolveStatus.SAMPLED
+    assert lattice == fraction
+    return lattice
+
+
+class TestLatticeWalkMatchesFractionWalk:
+    """Differential checks of the integer lattice walk against the oracle."""
+
+    def reports_agree(self, monkeypatch, family, degree):
+        lattice = collapse_order(family, degree, stop_at_first=False)
+        with monkeypatch.context() as m:
+            m.setattr(collapse, "_sampled_analysis", sampled_analysis_fraction)
+            fraction = collapse_order(family, degree, stop_at_first=False)
+        for a, b in zip(lattice.entries, fraction.entries):
+            assert a.analysis == b.analysis
+        assert lattice == fraction
+        return lattice
+
+    def test_bilinear_degree_one(self, monkeypatch):
+        report = self.reports_agree(monkeypatch, bilinear_box(), 1)
+        analysis = report.entry(1).analysis
+        assert analysis.status is SolveStatus.SAMPLED
+        assert analysis.grid.total_points == 21**4
+        assert len(analysis.witnesses) == collapse.WITNESS_CAP
+
+    def test_disk_degree_two_with_pinned_last_axis(self, monkeypatch):
+        report = self.reports_agree(monkeypatch, disk_quadratic(), 2)
+        grid = report.entry(2).analysis.grid
+        assert grid.symbols[-1] == "v"
+        assert grid.axis_sizes[-1] == 1
+
+    def test_strided_nonneg_int_axes(self, monkeypatch):
+        # z runs over 0, 2, ..., 40 and is the last axis; a*z = 4 and
+        # a^2*z = 8 meet at the grid point a = 2, z = 2
+        fam = family_from("a:none, z:nonneg-int:0..40")
+        analysis = walks_agree(
+            monkeypatch, [residual(fam, "a*z - 4"), residual(fam, "a^2*z - 8")], fam
+        )
+        assert analysis.grid.axis_sizes == (21, 21)
+        assert [w.text() for w in analysis.witnesses] == ["a = 2, z = 2"]
+
+    def test_one_integer_range_that_is_not_pinned(self, monkeypatch):
+        # m in [1/2, 3/2] holds the one integer 1; off-grid roots of a*m = 1
+        # must respect the declared range mapped onto the lattice index
+        fam = family_from("a:none, m:nonneg-int:1/2..3/2")
+        analysis = walks_agree(monkeypatch, [residual(fam, "a*m - 1")], fam)
+        assert analysis.grid.axis_sizes == (21, 1)
+        assert [w.text() for w in analysis.witnesses] == ["a = 1, m = 1"]
+
+    def test_last_axis_of_degree_two(self, monkeypatch):
+        # t^2 = (a + 2)/a^2 has rational roots at a = -1 and a = 2, among others
+        fam = family_from("a:none, t:none")
+        analysis = walks_agree(monkeypatch, [residual(fam, "a^2*t^2 - a - 2")], fam)
+        assert "a = -1, t = 1" in [w.text() for w in analysis.witnesses]
+
+    def test_fractional_coefficients_and_fractional_lattice(self, monkeypatch):
+        # the walk itself sees an unstripped residual with fractional
+        # coefficients on axes with fractional starts and steps
+        fam = family_from("a:none:1/3..7/4, t:none:-5/6..1/2")
+        eq = residual(fam, "1/3*a*t + 1/7*t^2 - 1/2*a + 5/9")
+        texts = (eq.to_text(),)
+        args = (fam, [eq], ["a", "t"], [], [eq], texts, [], 9, 64)
+        assert collapse._sampled_analysis(*args) == sampled_analysis_fraction(*args)
+
+    def test_witness_cap_one(self, monkeypatch):
+        fam = family_from("a:none, t:none")
+        analysis = walks_agree(
+            monkeypatch, [residual(fam, "a*t - 1")], fam, witness_cap=1
+        )
+        assert len(analysis.witnesses) == 1
+        assert "witness collection capped at 1" in analysis.notes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.integers(-4, 4),
+            max_size=6,
+        ),
+        st_coeff=st.integers(1, 3) | st.integers(-3, -1),
+        second=st.booleans(),
+        bounds=st.sampled_from(["", ":-1..3", ":1/2..5/2", ":1..1", ":-3/4.."]),
+        grid_points=st.integers(2, 9),
+        witness_cap=st.integers(1, 4),
+    )
+    def test_random_bivariate_systems(
+        self, coeffs, st_coeff, second, bounds, grid_points, witness_cap
+    ):
+        # an s*t term keeps both symbols out of the linear elimination, so
+        # every system reaches the sampled walk
+        fam = family_from(f"s:none, t:none{bounds}")
+        coeffs = {**coeffs, (1, 1): st_coeff}
+        text = " + ".join(f"({c})*s^{i}*t^{j}" for (i, j), c in sorted(coeffs.items()))
+        equations = [residual(fam, text)]
+        if second:
+            equations.append(residual(fam, "s*t - 1"))
+        with pytest.MonkeyPatch.context() as m:
+            walks_agree(
+                m, equations, fam, grid_points=grid_points, witness_cap=witness_cap
+            )

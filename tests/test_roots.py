@@ -73,6 +73,32 @@ class TestRationalRoots:
         coeffs = poly_from_roots([F(1, 3), F(-5, 7)])
         assert set(rational_roots(coeffs)) == {F(1, 3), F(-5, 7)}
 
+    def test_linear_roots(self):
+        assert rational_roots([0, 5]) == [F(0)]
+        assert rational_roots([F(1, 2), F(3, 4)]) == [F(-2, 3)]
+        assert rational_roots([-3, 1], within=(F(0), F(2))) == []
+        assert rational_roots([-3, 1], within=(F(3), None)) == [F(3)]
+        assert rational_roots([-3, 1], within=(F(3), F(3))) == [F(3)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c0=st.integers(-30, 30) | small_fracs,
+        c1=(st.integers(-30, 30) | small_fracs).filter(bool),
+        lo=st.none() | small_fracs,
+        hi=st.none() | small_fracs,
+        pinned=st.booleans(),
+    )
+    def test_linear_fast_path_agrees_with_divisor_path(self, c0, c1, lo, hi, pinned):
+        # (c0 + c1*x)(1 + x^2) has the same real roots, and as a cubic it
+        # goes through the divisor enumeration
+        if pinned:
+            hi = lo
+        line = [c0, c1]
+        cubic = [c0, c1, c0, c1]
+        got = rational_roots(line, within=(lo, hi))
+        assert got == rational_roots(cubic, within=(lo, hi))
+        assert all(isinstance(r, Fraction) for r in got)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(small_fracs, min_size=1, max_size=4))
     def test_agrees_with_sympy(self, coeffs):
