@@ -26,6 +26,13 @@ Pipeline for one cumulative equation system:
      witnesses and notes are those of evaluating each grid point in
      rational arithmetic.
 
+A candidate becomes a witness only after an exact admission check: the
+eliminated parameters are recovered, the point must meet every declaration
+and constraint, and every original equation must vanish there.  Parameters
+a candidate leaves unset are completed over their grids, first admissible
+point first.  One analysis makes at most 20,000 admission checks; when that
+budget binds, a note says so, and sign tallies still cover the whole grid.
+
 A degree collapses when admissible witnesses exist and every one of them
 puts the density in product form; the verdict is witness-based, which the
 reports say out loud.  Densities on the unit disk can never be product
@@ -67,7 +74,7 @@ __all__ = [
 DEFAULT_GRID_POINTS = 21
 GRID_LEAF_CAP = 500_000
 WITNESS_CAP = 64
-TRIVIAL_SCAN_CAP = 20_000
+ADMISSION_BUDGET = 20_000
 
 
 class SolveStatus(enum.Enum):
@@ -192,14 +199,10 @@ def _linear_candidate(
     return None
 
 
-def _apply_substitution(polys: list[Poly], name: str, repl: Poly) -> list[Poly]:
-    out = []
-    for p in polys:
-        q = p.subs_symbol(name, repl)
-        q = q.strip_known_nonzero_factors()
-        if not q.is_zero and q not in out:
-            out.append(q)
-    return out
+def _distinct_stripped(polys: Iterable[Poly]) -> list[Poly]:
+    """Stripped equations, without zeros and duplicates, in first-seen order."""
+    stripped = (p.strip_known_nonzero_factors() for p in polys)
+    return list(dict.fromkeys(q for q in stripped if not q.is_zero))
 
 
 def _extend_assignment(
@@ -223,10 +226,7 @@ def _admit(
     equations: Sequence[Poly],
 ) -> Witness | None:
     """Full exact recheck of a candidate; returns a Witness or None."""
-    try:
-        full = _extend_assignment(free_values, eliminations)
-    except Exception:
-        return None
+    full = _extend_assignment(free_values, eliminations)
     try:
         checked = family.check_point(full)
     except ConstraintViolation:
@@ -238,6 +238,39 @@ def _admit(
             return None
     order = {n: i for i, n in enumerate(family.table.names)}
     return Witness(tuple(sorted(checked.items(), key=lambda kv: order[kv[0]])))
+
+
+class _Admission:
+    """The one budget of exact admission checks of an analysis."""
+
+    def __init__(self, family, eliminations, equations, grid_points):
+        self.family = family
+        self.eliminations = eliminations
+        self.equations = equations
+        self.grid_points = grid_points
+        self.left = ADMISSION_BUDGET
+        self.binds = False  # an attempt was refused for want of budget
+
+    def complete(self, partial: Mapping[str, Fraction], unset: Sequence[str]) -> Witness | None:
+        """First admissible witness that extends `partial` over the grid of `unset`."""
+        grids = [grid_values(self.family.param(n), self.grid_points) for n in unset]
+        for combo in itertools.product(*grids):
+            if not self.left:
+                self.binds = True
+                return None
+            self.left -= 1
+            w = _admit(
+                self.family, {**partial, **dict(zip(unset, combo))},
+                self.eliminations, self.equations,
+            )
+            if w:
+                return w
+        return None
+
+    def note(self) -> list[str]:
+        if not self.binds:
+            return []
+        return [f"witness admission stopped after {ADMISSION_BUDGET} attempts"]
 
 
 # -- univariate --------------------------------------------------------------
@@ -275,11 +308,7 @@ def analyze_system(
         polys = [e.poly for e in system.entries]
     else:
         polys = list(system)
-    equations = []
-    for p in polys:
-        q = p.strip_known_nonzero_factors()
-        if not q.is_zero and q not in equations:
-            equations.append(q)
+    equations = _distinct_stripped(polys)
     original_equations = list(equations)
     params = list(family.param_names)
     notes: list[str] = []
@@ -299,9 +328,17 @@ def analyze_system(
                     break
             if found:
                 name, repl = found
+                if PI_NAME in repl.free_symbols():
+                    # a witness needs a rational value for every parameter
+                    raise ConstraintViolation(
+                        f"eliminating {name} from a linear {source} leaves the "
+                        f"constant PI in its value ({name} = {repl.to_text()})"
+                    )
                 eliminations.append((name, repl))
-                eq_constraints = _apply_substitution(eq_constraints, name, repl)
-                equations = _apply_substitution(equations, name, repl)
+                eq_constraints = _distinct_stripped(
+                    p.subs_symbol(name, repl) for p in eq_constraints
+                )
+                equations = _distinct_stripped(p.subs_symbol(name, repl) for p in equations)
                 notes.append(f"eliminated {name} from a linear {source}")
                 changed = True
                 break
@@ -337,11 +374,16 @@ def analyze_system(
     residual_texts = tuple(p.to_text() for p in equations)
 
     if not equations:
-        witnesses, scan_note = _scan_for_admissible(
-            family, free, eliminations, original_equations, grid_points
-        )
-        if scan_note:
-            notes.append(scan_note)
+        admission = _Admission(family, eliminations, original_equations, grid_points)
+        w = admission.complete({}, free)
+        witnesses = (w,) if w else ()
+        if not w:
+            if not free:
+                notes.append("determined point fails constraints")
+            elif admission.binds:
+                notes.append(f"no admissible point in the first {ADMISSION_BUDGET} grid points")
+            else:
+                notes.append("no admissible grid point satisfies the constraints")
         status = SolveStatus.EXACT if eliminations else SolveStatus.TRIVIAL
         if not eliminations:
             notes.append("every mask equation stripped to zero")
@@ -368,33 +410,6 @@ def _elim_texts(eliminations: Sequence[tuple[str, Poly]]) -> tuple[tuple[str, st
     return tuple((n, r.to_text()) for n, r in eliminations)
 
 
-def _decl_for(family: DensityFamily, name: str) -> ParamDecl:
-    return family.param(name)
-
-
-def _scan_for_admissible(
-    family: DensityFamily,
-    free: Sequence[str],
-    eliminations: Sequence[tuple[str, Poly]],
-    original_equations: Sequence[Poly],
-    grid_points: int,
-) -> tuple[tuple[Witness, ...], str | None]:
-    """First admissible grid point for a system with no residual equations."""
-    if not free:
-        w = _admit(family, {}, eliminations, original_equations)
-        return ((w,) if w else ()), None if w else "determined point fails constraints"
-    grids = [grid_values(_decl_for(family, n), grid_points) for n in free]
-    scanned = 0
-    for combo in itertools.product(*grids):
-        if scanned >= TRIVIAL_SCAN_CAP:
-            return (), f"no admissible point in the first {TRIVIAL_SCAN_CAP} grid points"
-        scanned += 1
-        w = _admit(family, dict(zip(free, combo)), eliminations, original_equations)
-        if w:
-            return (w,), None
-    return (), "no admissible grid point satisfies the constraints"
-
-
 def _univariate_analysis(
     family, equations, symbol, free, eliminations,
     original_equations, residual_texts, notes, grid_points,
@@ -410,21 +425,9 @@ def _univariate_analysis(
         )
     found = real_roots(g)
     other_free = [n for n in free if n != symbol]
-    witnesses: list[Witness] = []
-    for root in found.rational:
-        if other_free:
-            grids = [grid_values(_decl_for(family, n), grid_points) for n in other_free]
-            for combo in itertools.product(*grids):
-                values = dict(zip(other_free, combo))
-                values[symbol] = root
-                w = _admit(family, values, eliminations, original_equations)
-                if w:
-                    witnesses.append(w)
-                    break
-        else:
-            w = _admit(family, {symbol: root}, eliminations, original_equations)
-            if w:
-                witnesses.append(w)
+    admission = _Admission(family, eliminations, original_equations, grid_points)
+    candidates = (admission.complete({symbol: root}, other_free) for root in found.rational)
+    witnesses = tuple(w for w in candidates if w)
     intervals = tuple((symbol, lo, hi) for lo, hi in found.irrational_intervals)
     if intervals:
         notes = notes + [
@@ -433,7 +436,7 @@ def _univariate_analysis(
         ]
     return SolutionAnalysis(
         SolveStatus.EXACT, residual_texts, _elim_texts(eliminations),
-        tuple(witnesses), intervals, None, tuple(notes),
+        witnesses, intervals, None, tuple(notes + admission.note()),
     )
 
 
@@ -482,7 +485,7 @@ def _sampled_analysis(
     inactive = [n for n in free if n not in involved]
     points = grid_points
     while True:
-        lattices = [grid_lattice(_decl_for(family, n), points) for n in syms]
+        lattices = [grid_lattice(family.param(n), points) for n in syms]
         sizes = [n for _, _, n in lattices]
         total = math.prod(sizes)
         if points <= 2 or total <= GRID_LEAF_CAP:
@@ -498,7 +501,7 @@ def _sampled_analysis(
         ]
 
     last = len(syms) - 1
-    last_decl = _decl_for(family, syms[last])
+    last_decl = family.param(syms[last])
     a_last, b_last, _ = lattices[last]
     # solved candidates outside the declared range would fail admission
     # anyway; the range is mapped onto the last axis's lattice index
@@ -506,7 +509,7 @@ def _sampled_analysis(
         None if x is None else (x - a_last) / b_last
         for x in (last_decl.lower, last_decl.upper)
     )
-    inactive_grids = [grid_values(_decl_for(family, n), grid_points) for n in inactive]
+    admission = _Admission(family, eliminations, original_equations, grid_points)
     sign_counts = [[0, 0, 0] for _ in equations]
     witnesses: list[Witness] = []
     seen: set[tuple] = set()
@@ -519,19 +522,9 @@ def _sampled_analysis(
         if key in seen:
             return
         seen.add(key)
-        if inactive:
-            for combo in itertools.product(*inactive_grids):
-                w = _admit(
-                    family, {**values, **dict(zip(inactive, combo))},
-                    eliminations, original_equations,
-                )
-                if w:
-                    witnesses.append(w)
-                    return
-        else:
-            w = _admit(family, values, eliminations, original_equations)
-            if w:
-                witnesses.append(w)
+        w = admission.complete(values, inactive)
+        if w:
+            witnesses.append(w)
 
     def walk(level: int, polys: list[dict], ks: tuple):
         if level < last:
@@ -576,6 +569,7 @@ def _sampled_analysis(
     grid = GridSummary(
         tuple(syms), tuple(sizes), total, tuple(tuple(c) for c in sign_counts),
     )
+    notes = notes + admission.note()
     if len(witnesses) >= witness_cap:
         notes = notes + [f"witness collection capped at {witness_cap}"]
     if not witnesses:

@@ -27,7 +27,8 @@ Expression grammar (ASCII only; a leading '-' is the one unary form):
 by construction; a negative exponent, as in x^(-1), is reported as
 non-polynomial rather than a syntax error.  Hard caps keep parsing total
 on arbitrary input: exponents on x and y at most 32, any '^' exponent at
-most 64, parenthesis depth at most 64, and at most 20000 expanded terms.
+most 64, parenthesis depth at most 64, at most 20000 expanded terms, and
+at most 10^6 term products in any one multiplication.
 Everything the parser accepts round-trips: render_spec produces canonical
 text whose parse compares equal to the original family.
 """
@@ -61,6 +62,7 @@ MAX_XY_EXP = 32
 MAX_POW = 64
 MAX_DEPTH = 64
 MAX_TERMS = 20_000
+MAX_PRODUCT_PAIRS = 1_000_000
 
 _RESERVED = ("x", "y", PI_NAME)
 _ASSUMPTION_NAMES = {a.value: a for a in Assumption}
@@ -142,6 +144,14 @@ class _XY:
         return _XY({k: -p for k, p in self.coeffs.items()})
 
     def mul(self, other: "_XY", pos: int, line: int) -> "_XY":
+        # bound the work before it is done: every term pair is one product
+        if self.size() * other.size() > MAX_PRODUCT_PAIRS:
+            raise ExponentBoundExceeded(
+                f"product of {self.size()} and {other.size()} terms exceeds "
+                f"{MAX_PRODUCT_PAIRS} term products",
+                pos,
+                line,
+            )
         out: dict[tuple[int, int], Poly] = {}
         for (i1, j1), p1 in self.coeffs.items():
             for (i2, j2), p2 in other.coeffs.items():

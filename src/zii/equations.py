@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .inverse import BlockCofactors, block_cofactors, det_and_cofactors
+from .inverse import BlockCofactors, block_cofactors
 from .measures import DensityFamily
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
 from .poly import Poly
@@ -105,10 +105,6 @@ class EquationSystem:
     def texts(self) -> tuple[str, ...]:
         return tuple(e.poly.to_text() for e in self.entries)
 
-    def entry_label(self, entry: EquationEntry) -> str:
-        b = self.basis
-        return ", ".join(f"({b.label(r)}, {b.label(c)})" for r, c in entry.pairs)
-
 
 # -- sympy bridge (kept local to this module on purpose; sympy is imported
 # on first use, so `import zii` does not pay for it) -----------------------
@@ -172,22 +168,13 @@ def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
     ]
 
 
-def _require_nonsingular(dets, degree: int):
-    if any(d.is_zero for d in dets):
-        raise SingularMatrix(f"moment matrix at degree {degree} is identically singular")
-
-
 # -- extraction --------------------------------------------------------------
 
 
-def zii_equations(
-    family_or_matrix, degree: int | None = None, reduce: bool = True
-) -> EquationSystem:
+def zii_equations(family_or_matrix, degree: int | None = None) -> EquationSystem:
     """Stripped vanishing equations for every mask position at one degree.
 
     Accepts a DensityFamily plus degree, or a prebuilt MomentMatrix.
-    `reduce=False` skips the gcd-with-determinant step (raw cofactors,
-    useful for diagnostics); stripping is always applied.
     """
     if isinstance(family_or_matrix, MomentMatrix):
         matrix = family_or_matrix
@@ -199,13 +186,10 @@ def zii_equations(
     mask = compute_mask(basis)
     rows = matrix.rows()
     # symmetric matrix: adj(r, c) == cofactor(r, c) == cofactor(c, r)
-    if reduce:
-        blocks = block_cofactors(rows, mask.pairs)
-        _require_nonsingular(blocks.determinants, basis.degree)
-        numerators = _reduce_in_blocks(blocks)
-    else:
-        det, numerators = det_and_cofactors(rows, mask.pairs)
-        _require_nonsingular((det,), basis.degree)
+    blocks = block_cofactors(rows, mask.pairs)
+    if any(d.is_zero for d in blocks.determinants):
+        raise SingularMatrix(f"moment matrix at degree {basis.degree} is identically singular")
+    numerators = _reduce_in_blocks(blocks)
     stripped = [p.strip_known_nonzero_factors() for p in numerators]
     ordered: list[Poly] = []
     grouped: dict[Poly, list[tuple[int, int]]] = {}

@@ -413,7 +413,7 @@ def _self_check_point(table: SymbolTable, det: Poly) -> dict[str, Fraction] | No
     return None
 
 
-def invert_exact(matrix, self_check: bool = True) -> ExactInverse:
+def invert_exact(matrix) -> ExactInverse:
     """Adjugate inverse of a MomentMatrix or plain list-of-lists of Poly."""
     rows = matrix.rows() if hasattr(matrix, "rows") else [list(r) for r in matrix]
     n = _square(rows)
@@ -433,7 +433,7 @@ def invert_exact(matrix, self_check: bool = True) -> ExactInverse:
         if symmetric:
             adj[c][r] = value
     inverse = ExactInverse(tuple(tuple(row) for row in adj), det)
-    if self_check and n <= SELF_CHECK_MAX:
+    if n <= SELF_CHECK_MAX:
         point = _self_check_point(table, det)
         if point is not None:
             _verify_adjugate(rows, inverse, point)

@@ -197,10 +197,6 @@ class DensityFamily:
 
     # -- declarations ----------------------------------------------------
 
-    @property
-    def coeff_map(self) -> dict[tuple[int, int], Poly]:
-        return dict(self.coeffs)
-
     def param(self, name: str) -> ParamDecl:
         for decl in self.params:
             if decl.name == name:
@@ -239,32 +235,6 @@ class DensityFamily:
 
     def normalization_mass(self) -> Poly:
         return self.moment(0, 0)
-
-    def normalization_constraint(self) -> Constraint:
-        """mass - 1 = 0 as a constraint polynomial."""
-        return Constraint(self.normalization_mass() - 1, "=")
-
-    def solve_normalization(self, coefficient: str) -> tuple[str, Poly]:
-        """Solve mass == 1 for one parameter appearing linearly with a
-        rational constant coefficient; returns (name, replacement)."""
-        mass = self.normalization_mass()
-        idx = self.table.index(coefficient)
-        linear = {}
-        rest = {}
-        for exps, c in mass.terms.items():
-            if exps[idx] == 0:
-                rest[exps] = c
-            elif exps[idx] == 1 and sum(exps) == 1:
-                linear[exps] = c
-            else:
-                raise ConstraintViolation(
-                    f"mass is not linear in {coefficient!r} with a constant coefficient"
-                )
-        if not linear:
-            raise ConstraintViolation(f"{coefficient!r} does not appear in the mass")
-        a = next(iter(linear.values()))
-        b = Poly(self.table, rest)
-        return coefficient, (1 - b) * (1 / a)
 
     # -- pointwise views ------------------------------------------------------
 

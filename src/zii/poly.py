@@ -286,20 +286,20 @@ class Poly:
         """
         if self.is_zero:
             return self
-        out = self.exact_divide(Poly.const(self.table, self.content()))
         width = len(self.table)
-        shift = [min(e[i] for e in out.terms) for i in range(width)]
-        for i in range(width):
-            if self.table.assumptions[i] is not Assumption.POSITIVE:
-                shift[i] = 0
-        if any(shift):
-            out = Poly(
-                self.table,
-                {tuple(e[i] - shift[i] for i in range(width)): c for e, c in out.terms.items()},
-            )
-        if out.leading()[1] < 0:
-            out = -out
-        return out
+        shift = [
+            min(e[i] for e in self.terms) if a is Assumption.POSITIVE else 0
+            for i, a in enumerate(self.table.assumptions)
+        ]
+        # a common monomial shift keeps the grlex order, so the leading
+        # coefficient's sign can be folded into the content beforehand
+        scale = self.content()
+        if self.leading()[1] < 0:
+            scale = -scale
+        terms = self.terms.items()
+        return Poly(
+            self.table, {tuple(e[i] - shift[i] for i in range(width)): c / scale for e, c in terms}
+        )
 
     # -- univariate view ---------------------------------------------------
 

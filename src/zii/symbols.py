@@ -80,14 +80,6 @@ class SymbolTable:
     def assumption(self, name: str) -> Assumption:
         return self.assumptions[self.index(name)]
 
-    def with_symbols(self, extra: Mapping[str, Assumption]) -> "SymbolTable":
-        amap = dict(zip(self.names, self.assumptions))
-        for name, assumption in extra.items():
-            if amap.get(name, assumption) is not assumption:
-                raise ValueError(f"conflicting assumptions for {name!r}")
-            amap[name] = assumption
-        return SymbolTable.build(amap)
-
     def numeric_value(self, name: str) -> float | None:
         """Float value for symbols with a fixed numeric meaning (only PI)."""
         return math.pi if name == PI_NAME else None

@@ -8,7 +8,8 @@ elimination the engine does not share: one Bareiss pass, or a cofactor
 expansion, per determinant and per minor.  The equations oracle composes
 the package's own layers, but the other way round from the library: it
 multiplies the blocks out and reduces each full cofactor against the full
-determinant.  The grid-walk oracle samples the same grid as the library,
+determinant.  The raw-equations oracle skips that reduction and only strips
+each full cofactor.  The grid-walk oracle samples the same grid as the library,
 but substitutes each Fraction grid value into the Poly residuals and
 evaluates every point by Horner's rule over Fractions, with no lattice
 and no integer scaling.
@@ -31,13 +32,13 @@ from zii.collapse import (
     SolveStatus,
     Witness,
     _admit,
-    _decl_for,
     _elim_texts,
     grid_values,
 )
-from zii.equations import compute_mask, reduce_by_determinant
+from zii.equations import EquationEntry, EquationSystem, compute_mask, reduce_by_determinant
+from zii.errors import SingularMatrix
 from zii.inverse import det_and_cofactors
-from zii.moments import build_matrix
+from zii.moments import MomentMatrix, build_matrix
 from zii.poly import Poly
 from zii.roots import rational_roots, uni_eval
 
@@ -200,6 +201,30 @@ def equations_full_det_oracle(family, degree: int) -> list[tuple[str, tuple[tupl
     return [(poly.to_text(), tuple(pairs)) for poly, pairs in grouped.items()]
 
 
+def raw_equations_oracle(family_or_matrix, degree: int | None = None) -> EquationSystem:
+    """zii_equations without the gcd step: each full cofactor is only stripped.
+
+    Equal stripped cofactors merge in first-seen order with their mask
+    positions as provenance; an identically zero determinant raises
+    SingularMatrix with the library's message.
+    """
+    if isinstance(family_or_matrix, MomentMatrix):
+        matrix = family_or_matrix
+    else:
+        matrix = build_matrix(family_or_matrix, degree)
+    mask = compute_mask(matrix.basis)
+    det, raws = det_and_cofactors(matrix.rows(), mask.pairs)
+    if det.is_zero:
+        raise SingularMatrix(
+            f"moment matrix at degree {matrix.basis.degree} is identically singular"
+        )
+    grouped: dict[Poly, list[tuple[int, int]]] = {}
+    for pair, raw in zip(mask.pairs, raws):
+        grouped.setdefault(raw.strip_known_nonzero_factors(), []).append(pair)
+    entries = tuple(EquationEntry(p, tuple(pairs)) for p, pairs in grouped.items())
+    return EquationSystem(matrix.basis.degree, matrix.basis, entries)
+
+
 def sampled_analysis_fraction(
     family, equations, free, eliminations, original_equations,
     residual_texts, notes, grid_points, witness_cap=WITNESS_CAP,
@@ -216,7 +241,7 @@ def sampled_analysis_fraction(
     involved = {s for p in equations for s in p.free_symbols()}
     active = [n for n in free if n in involved]
     inactive = [n for n in free if n not in involved]
-    grids = {n: grid_values(_decl_for(family, n), grid_points) for n in active}
+    grids = {n: grid_values(family.param(n), grid_points) for n in active}
     points = grid_points
     while points > 2:
         total = 1
@@ -225,7 +250,7 @@ def sampled_analysis_fraction(
         if total <= GRID_LEAF_CAP:
             break
         points = (points + 1) // 2
-        grids = {n: grid_values(_decl_for(family, n), points) for n in active}
+        grids = {n: grid_values(family.param(n), points) for n in active}
     if points != grid_points:
         notes = notes + [f"grid reduced to {points} points per axis to bound the walk"]
     if inactive:
@@ -237,10 +262,10 @@ def sampled_analysis_fraction(
 
     syms = list(active)
     axis = [grids[n] for n in syms]
-    last_decl = _decl_for(family, syms[-1])
+    last_decl = family.param(syms[-1])
     # solved candidates outside the declared range would fail admission anyway
     last_within = (last_decl.lower, last_decl.upper)
-    inactive_grids = [grid_values(_decl_for(family, n), grid_points) for n in inactive]
+    inactive_grids = [grid_values(family.param(n), grid_points) for n in inactive]
     sign_counts = [[0, 0, 0] for _ in equations]
     witnesses: list[Witness] = []
     seen: set[tuple] = set()

@@ -20,7 +20,11 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_DIR, REPO_ROOT, record_criterion, record_note
-from oracle_defs import disk_moment_oracle_pi_coefficient, mask_bruteforce_oracle
+from oracle_defs import (
+    disk_moment_oracle_pi_coefficient,
+    mask_bruteforce_oracle,
+    raw_equations_oracle,
+)
 
 from zii.collapse import (
     ProductVerdict,
@@ -217,7 +221,7 @@ def test_criterion_05_disk_equations():
 
         # degree-2: compare the emitted (x^2, y^2) equation against an
         # independent floating inverse residual, sign for sign
-        raw_sys = zii_equations(fam, 2, reduce=False)
+        raw_sys = raw_equations_oracle(fam, 2)
         by_pair = {p: e.poly for e in raw_sys.entries for p in e.pairs}
         eq_35 = by_pair[(3, 5)]
 
@@ -258,7 +262,7 @@ def test_criterion_05_disk_equations():
             assert abs(inv[r, c]) < 1e-12
 
         # reported, not asserted: relation to the reference quadratic
-        reduced = zii_equations(fam, 2, reduce=True)
+        reduced = zii_equations(fam, 2)
         red_by_pair = {p: e.poly for e in reduced.entries for p in e.pairs}
         sliced = red_by_pair[(3, 5)].substitute(
             {"b": F(0), "c": F(0), "v": F(1)}
@@ -303,7 +307,7 @@ def test_criterion_06_product_measure_zero_theorem():
                     "density: 1\n"
                 )
                 for d in (1, 2, 3, 4):
-                    system = zii_equations(fam, d, reduce=False)
+                    system = raw_equations_oracle(fam, d)
                     assert all(e.is_trivial for e in system.entries), (k1, k2, d)
 
 

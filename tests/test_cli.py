@@ -130,6 +130,18 @@ class TestExitCodes:
         )
         assert res.returncode == 5
 
+    def test_pi_in_an_elimination_is_five(self, tmp_path, capsys):
+        # e = PI has no rational value, so no witness could be admitted
+        spec = tmp_path / "pi.zii"
+        bilinear = (REPO_ROOT / "specs" / "bilinear-box.zii").read_text()
+        spec.write_text(
+            bilinear.replace("a11:none\n", "a11:none, e:none\n") + "constraints: e - PI = 0\n"
+        )
+        assert cli.main(["collapse", "--spec", str(spec), "--max-degree", "1"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: eliminating e from a linear constraint")
+
     def test_unknown_family_fails(self):
         res = run_cli(["equations", "--family", "nope", "--degree", "1"])
         assert res.returncode != 0

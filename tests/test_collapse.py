@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from zii.collapse import (
     moment_factorization_check,
 )
 from zii.dsl import parse_density_spec, parse_expression
-from zii.errors import ArgumentOutOfRange, ConstraintViolation
+from zii.errors import ArgumentOutOfRange, ConstraintViolation, MissingSymbol
+from zii.poly import Poly
 from zii.measures import (
     Assumption,
     ParamDecl,
@@ -252,10 +254,11 @@ def residual(family, text):
     return parse_expression(text, family.table, allow_xy=False)[(0, 0)]
 
 
-def family_from(params, density="1 + x*y"):
-    return parse_density_spec(
-        f"family: walk\ndomain: unit-box\ndensity: {density}\nparams: {params}\n"
-    )
+def family_from(params, density="1 + x*y", constraints=None):
+    spec = f"family: walk\ndomain: unit-box\ndensity: {density}\nparams: {params}\n"
+    if constraints:
+        spec += f"constraints: {constraints}\n"
+    return parse_density_spec(spec)
 
 
 def walks_agree(monkeypatch, equations, family, **kwargs):
@@ -364,3 +367,91 @@ class TestLatticeWalkMatchesFractionWalk:
             walks_agree(
                 m, equations, fam, grid_points=grid_points, witness_cap=witness_cap
             )
+
+
+class TestAdmission:
+    """Every analysis branch completes witnesses over one admission budget."""
+
+    def test_univariate_roots_complete_another_free_parameter(self):
+        # t appears only in a constraint; its first admissible grid value
+        # above 1 is 6/5 on the default grid over [-2, 2]
+        fam = family_from("a:none, t:none", constraints="t - 1 > 0")
+        analysis = analyze_system([residual(fam, "a^2 - 1")], fam)
+        assert analysis.status is SolveStatus.EXACT
+        assert [w.text() for w in analysis.witnesses] == [
+            "a = -1, t = 6/5",
+            "a = 1, t = 6/5",
+        ]
+        assert not any("admission" in n for n in analysis.notes)
+
+    def test_sampled_completion_over_an_inactive_parameter(self, monkeypatch):
+        fam = family_from("e:none, s:none, t:none", constraints="e - 1 > 0")
+        analysis = walks_agree(monkeypatch, [residual(fam, "s*t - 1")], fam)
+        assert analysis.grid.symbols == ("s", "t")
+        assert analysis.witnesses
+        assert {w.as_dict()["e"] for w in analysis.witnesses} == {F(6, 5)}
+        assert "parameters not in the residual equations (e) are gridded only " \
+            "when completing a witness" in analysis.notes
+
+    def test_no_equation_scan_notes(self, monkeypatch):
+        # a = 3 is forced by the constraint but outside the declared range
+        fam = family_from("a:none:-2..2", constraints="a - 3 = 0")
+        analysis = analyze_system([], fam)
+        assert analysis.status is SolveStatus.EXACT
+        assert analysis.witnesses == ()
+        assert "determined point fails constraints" in analysis.notes
+
+        # e*f > 100 has no point on the 3 x 3 grid over [-2, 2]^2
+        fam = family_from("e:none, f:none", constraints="e*f - 100 > 0")
+        analysis = analyze_system([], fam, grid_points=3)
+        assert analysis.status is SolveStatus.TRIVIAL
+        assert "no admissible grid point satisfies the constraints" in analysis.notes
+
+        # a budget equal to the grid scans it all; one less stops short
+        monkeypatch.setattr(collapse, "ADMISSION_BUDGET", 9)
+        analysis = analyze_system([], fam, grid_points=3)
+        assert "no admissible grid point satisfies the constraints" in analysis.notes
+        monkeypatch.setattr(collapse, "ADMISSION_BUDGET", 8)
+        analysis = analyze_system([], fam, grid_points=3)
+        assert "no admissible point in the first 8 grid points" in analysis.notes
+        assert analysis.witnesses == ()
+
+    def test_budget_is_shared_by_every_root(self, monkeypatch):
+        # t runs over -2, 0, 2 and only t = 2 is admissible: the first root
+        # spends 3 attempts, and the second root is refused its second one
+        fam = family_from("a:none, t:none", constraints="t - 1 > 0")
+        monkeypatch.setattr(collapse, "ADMISSION_BUDGET", 4)
+        analysis = analyze_system([residual(fam, "a^2 - 1")], fam, grid_points=3)
+        assert [w.text() for w in analysis.witnesses] == ["a = -1, t = 2"]
+        assert "witness admission stopped after 4 attempts" in analysis.notes
+
+    def test_budget_binds_in_the_walk_but_tallies_the_whole_grid(self):
+        # the constraint on e, f, g cannot hold on their grids; each candidate
+        # would scan 21^3 points, so only the budget ends the search
+        fam = family_from(
+            "a00:none, a01:none, a10:none, a11:none, e:none, f:none, g:none",
+            density="a00 + a10*x + a01*y + a11*x*y",
+            constraints="e*f*g - 100 > 0",
+        )
+        start = time.perf_counter()
+        analysis = collapse_order(fam, 1).entry(1).analysis
+        assert time.perf_counter() - start < 30
+        assert analysis.witnesses == ()
+        assert f"witness admission stopped after {collapse.ADMISSION_BUDGET} attempts" \
+            in analysis.notes
+        assert collapse.ADMISSION_BUDGET == 20_000
+        plain = collapse_order(bilinear_box(), 1).entry(1).analysis
+        assert analysis.grid == plain.grid
+
+    def test_pi_in_an_elimination_is_rejected(self):
+        fam = family_from("a:none, e:none", constraints="e - PI = 0")
+        with pytest.raises(ConstraintViolation, match="eliminating e .* PI"):
+            analyze_system([residual(fam, "a^2 - 1")], fam)
+
+    def test_admission_faults_are_not_swallowed(self):
+        # an elimination that refers to a symbol with no value is a bug in
+        # the caller, not an inadmissible point
+        fam = family_from("a:none, t:none")
+        elim = [("a", Poly.symbol(fam.table, "t"))]
+        with pytest.raises(MissingSymbol):
+            collapse._admit(fam, {}, elim, [])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from zii.dsl import (
     MAX_DEPTH,
     MAX_POW,
+    MAX_PRODUCT_PAIRS,
     MAX_TERMS,
     MAX_XY_EXP,
     parse_density_spec,
@@ -25,6 +27,7 @@ from zii.errors import (
     NonPolynomialInXY,
     UndeclaredSymbol,
 )
+from zii import cli, dsl
 from zii.measures import BUILTIN_FAMILIES
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -182,6 +185,27 @@ class TestCaps:
 
     def test_term_cap_documented(self):
         assert MAX_TERMS == 20000
+
+    def test_product_pair_cap_is_checked_before_multiplying(self, monkeypatch):
+        assert MAX_PRODUCT_PAIRS == 10**6
+        spec = box_spec("(a + b)*(c + d)", params="a:none, b:none, c:none, d:none")
+        monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 4)
+        parse_density_spec(spec)
+        monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 3)
+        with pytest.raises(ExponentBoundExceeded, match="exceeds 3 term products"):
+            parse_density_spec(spec)
+
+    def test_huge_product_exits_two_quickly(self, tmp_path, capsys):
+        # 19448 x 19448 term products would take minutes to form
+        power = "(a+b+c+d+e+f+g+h)^10"
+        spec = tmp_path / "huge.zii"
+        spec.write_text(
+            box_spec(f"{power} * {power}", params=", ".join(f"{p}:none" for p in "abcdefgh"))
+        )
+        start = time.perf_counter()
+        assert cli.main(["equations", "--spec", str(spec), "--degree", "1"]) == 2
+        assert time.perf_counter() - start < 10
+        assert "exceeds 1000000 term products" in capsys.readouterr().err
 
 
 class TestFuzz:

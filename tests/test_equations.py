@@ -25,7 +25,13 @@ from zii.moments import MomentMatrix, build_basis, build_matrix
 from zii.poly import Poly
 from zii.symbols import SymbolTable
 
-from oracle_defs import cofactor, det_bareiss, equations_full_det_oracle, mask_bruteforce_oracle
+from oracle_defs import (
+    cofactor,
+    det_bareiss,
+    equations_full_det_oracle,
+    mask_bruteforce_oracle,
+    raw_equations_oracle,
+)
 
 
 class TestMask:
@@ -121,11 +127,11 @@ class TestEquationExtraction:
             assert quotient.evaluate({"ell": ell}) != 0
 
     def test_reduced_times_gcd_equals_raw(self):
-        # reduce=False keeps the raw adjugate numerators; dividing raw by the
+        # the oracle keeps the raw adjugate numerators; dividing raw by the
         # reduced equation must be exact for every nontrivial position
         fam = disk_quadratic()
-        raw_sys = zii_equations(fam, 2, reduce=False)
-        red_sys = zii_equations(fam, 2, reduce=True)
+        raw_sys = raw_equations_oracle(fam, 2)
+        red_sys = zii_equations(fam, 2)
         raw_by_pair = {p: e.poly for e in raw_sys.entries for p in e.pairs}
         red_by_pair = {p: e.poly for e in red_sys.entries for p in e.pairs}
         for pair, raw in raw_by_pair.items():
@@ -214,8 +220,8 @@ class TestHandBuiltBlocks:
         # blocks {0, 1} and {2}; the mask position (1, 2) joins them
         rows = [[S, ONE, ZERO], [ONE, TT, ZERO], [ZERO, ZERO, S + TT]]
         assert block_cofactors(rows, [(1, 2)]).cofactors == (None,)
-        for reduce in (True, False):
-            (entry,) = zii_equations(degree_one_matrix(rows), reduce=reduce).entries
+        for equations in (zii_equations, raw_equations_oracle):
+            (entry,) = equations(degree_one_matrix(rows)).entries
             assert entry.is_trivial
             assert entry.pairs == ((1, 2),)
 
@@ -223,6 +229,6 @@ class TestHandBuiltBlocks:
         # block {1, 2} has equal rows; block {0} is regular
         rows = [[S, ZERO, ZERO], [ZERO, TT, TT], [ZERO, TT, TT]]
         assert block_cofactors(rows).determinants == (S, ZERO)
-        for reduce in (True, False):
+        for equations in (zii_equations, raw_equations_oracle):
             with pytest.raises(SingularMatrix, match="identically singular"):
-                zii_equations(degree_one_matrix(rows), reduce=reduce)
+                equations(degree_one_matrix(rows))
