@@ -343,6 +343,11 @@ def analyze_system(
                 changed = True
                 break
 
+    # eliminated constraints were rejected above if they involve PI; any
+    # other would fail every admission check, which swallows the error
+    for constraint in family.constraints:
+        constraint.require_rational()
+
     if eq_constraints:
         notes.append(
             "equality constraints without a linear pivot remain; they are "

@@ -14,16 +14,26 @@ turns, entry by entry, into polynomial equations on the parameters: the
 terms must vanish.  The matrix splits into diagonal blocks, and a cofactor
 inside block b is C_b times the other blocks' determinants, which cancel
 from det; so each in-block cofactor C_b is divided by its gcd with det_b,
-its own block's determinant (the one place multivariate gcd is used,
-delegated to sympy).  The full determinant is never formed here.  The
-numerator is then stripped of rational content, monomials in positive
-symbols, and an overall sign.  Identical stripped equations from
-different mask positions are merged, keeping every originating position
-as provenance.
+its own block's determinant.  The full determinant is never formed here.
+That gcd is found in three steps, each exact:
+
+1. split off the monomial content of both (the minimum exponent of each
+   symbol, e.g. a power of PI) and prove what is left coprime, one
+   symbol at a time, by a univariate gcd over F_p at a specialisation
+   that keeps the degree in that symbol; the gcd is then the common
+   monomial;
+2. failing that, when one symbol is left, a Euclidean gcd over Q;
+3. otherwise sympy's multivariate gcd, imported only then.
+
+The built-in families never reach step 3.  The numerator is then
+stripped of rational content, monomials in positive symbols, and an
+overall sign.  Identical stripped equations from different mask
+positions are merged, keeping every originating position as provenance.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +41,8 @@ from .errors import SingularMatrix
 from .inverse import BlockCofactors, block_cofactors
 from .measures import DensityFamily
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
-from .poly import Poly
-from .symbols import SymbolTable
+from .poly import Exponents, Poly
+from .roots import uni_gcd
 
 __all__ = ["ZiiMask", "EquationEntry", "EquationSystem", "compute_mask", "zii_equations"]
 
@@ -106,48 +116,144 @@ class EquationSystem:
         return tuple(e.poly.to_text() for e in self.entries)
 
 
-# -- sympy bridge (kept local to this module on purpose; sympy is imported
-# on first use, so `import zii` does not pay for it) -----------------------
+# -- reduction of adj/det to lowest terms --------------------------------------
+
+# the certificate's prime, the Mersenne prime 2^61 - 1, and the seed of the
+# residues it draws; fixed so that every run takes the same path
+_PRIME = (1 << 61) - 1
+_RESIDUE_SEED = 20080419
 
 
-def _sympy_symbols(table: SymbolTable) -> tuple[sympy.Symbol, ...]:
+def _monomial_content(p: Poly) -> Exponents:
+    """Exponent vector of the largest monomial dividing the nonzero p."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _divide_monomial(p: Poly, exps: Exponents) -> Poly:
+    if not any(exps):
+        return p
+    return Poly(
+        p.table, {tuple(a - b for a, b in zip(e, exps)): c for e, c in p.terms.items()}
+    )
+
+
+def _residues(width: int) -> list[int]:
+    """One residue mod _PRIME per symbol, the same on every call."""
+    rng = random.Random(_RESIDUE_SEED)
+    return [rng.randrange(_PRIME) for _ in range(width)]
+
+
+def _terms_mod_p(p: Poly) -> list[tuple[Exponents, int]] | None:
+    """p's terms with each coefficient mod _PRIME; None when _PRIME divides a denominator."""
+    inverses: dict[int, int] = {}
+    out = []
+    for exps, coeff in p.terms.items():
+        den = coeff.denominator
+        if den not in inverses:
+            if den % _PRIME == 0:
+                return None
+            inverses[den] = pow(den, -1, _PRIME)
+        out.append((exps, coeff.numerator * inverses[den] % _PRIME))
+    return out
+
+
+def _image(terms: list[tuple[Exponents, int]], idx: int, residues: list[int]) -> list[int]:
+    """Ascending coefficients in symbol idx, every other symbol set to its residue."""
+    image = [0] * (max(e[idx] for e, _ in terms) + 1)
+    powers: dict[tuple[int, int], int] = {}
+    for exps, v in terms:
+        for j, e in enumerate(exps):
+            if e and j != idx:
+                if (j, e) not in powers:
+                    powers[j, e] = pow(residues[j], e, _PRIME)
+                v = v * powers[j, e] % _PRIME
+        image[exps[idx]] += v
+    return [c % _PRIME for c in image]
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd over F_p of two ascending coefficient lists, b's leading one nonzero."""
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q = a[-1] * inv % _PRIME
+            shift = len(a) - len(b)
+            for k in range(len(b) - 1):
+                a[shift + k] = (a[shift + k] - q * b[k]) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _certify_coprime(a: Poly, b: Poly) -> bool:
+    """True only if gcd(a, b) over Q has degree 0 in every symbol both contain.
+
+    Specialisation lemma (Brown's modular gcd): for a shared symbol x, map
+    every other symbol to its residue mod p.  Where neither image loses
+    its degree in x, the image of gcd(a, b) divides both images with its
+    x-degree intact, so an F_p gcd of degree 0 proves that the rational
+    gcd has x-degree 0.  False means "not certified", not "not coprime".
+    """
+    in_b = b.free_symbols()
+    shared = [a.table.index(n) for n in a.free_symbols() if n in in_b]
+    if not shared:
+        return True
+    terms_a, terms_b = _terms_mod_p(a), _terms_mod_p(b)
+    if terms_a is None or terms_b is None:
+        return False
+    residues = _residues(len(a.table))
+    for idx in shared:
+        image_a, image_b = _image(terms_a, idx, residues), _image(terms_b, idx, residues)
+        if not (image_a[-1] and image_b[-1]) or _gcd_degree_mod_p(image_a, image_b):
+            return False
+    return True
+
+
+def _uni_gcd(a: Poly, b: Poly, name: str) -> Poly:
+    coeffs = uni_gcd(a.as_univariate(name), b.as_univariate(name))
+    return Poly.from_univariate(a.table, name, coeffs)
+
+
+def _sympy_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by sympy, the general fallback; sympy loads on first use."""
     import sympy
 
-    return tuple(sympy.Symbol(n) for n in table.names)
+    gens = tuple(sympy.Symbol(n) for n in a.table.names)
 
-
-def _to_sympy(p: Poly, gens: tuple[sympy.Symbol, ...]) -> sympy.Poly:
-    import sympy
-
-    data = {
-        exps: sympy.Rational(c.numerator, c.denominator) for exps, c in p.terms.items()
-    }
-    return sympy.Poly.from_dict(data, *gens, domain="QQ")
-
-
-def _from_sympy(sp: sympy.Poly, table: SymbolTable) -> Poly:
-    import sympy
+    def to_sympy(p: Poly) -> sympy.Poly:
+        data = {
+            exps: sympy.Rational(c.numerator, c.denominator) for exps, c in p.terms.items()
+        }
+        return sympy.Poly.from_dict(data, *gens, domain="QQ")
 
     terms = {}
-    for monom, coeff in sp.terms():
+    for monom, coeff in to_sympy(a).gcd(to_sympy(b)).terms():
         q = sympy.Rational(coeff)
         terms[tuple(int(e) for e in monom)] = Fraction(int(q.p), int(q.q))
-    return Poly(table, terms)
-
-
-def _reduce(raw: Poly, det: sympy.Poly, gens: tuple[sympy.Symbol, ...]) -> Poly:
-    if raw.is_zero:
-        return raw
-    g = _to_sympy(raw, gens).gcd(det)
-    if g.is_ground:
-        return raw
-    return raw.exact_divide(_from_sympy(g, raw.table))
+    return Poly(a.table, terms)
 
 
 def reduce_by_determinant(raw: Poly, det: Poly) -> Poly:
-    """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det)."""
-    gens = _sympy_symbols(raw.table)
-    return _reduce(raw, _to_sympy(det, gens), gens)
+    """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det).
+
+    The gcd's monomial part is the common minimum exponent of each symbol.
+    What is left is usually coprime, which one F_p image per shared symbol
+    proves; only an uncertified pair is reduced by a univariate gcd (one
+    symbol left) or, failing that, by sympy.  The divisor is monic, as
+    sympy's gcd over QQ is, so the result does not depend on the step.
+    """
+    if raw.is_zero:
+        return raw
+    raw_mono, det_mono = _monomial_content(raw), _monomial_content(det)
+    out = _divide_monomial(raw, tuple(map(min, raw_mono, det_mono)))
+    a, b = _divide_monomial(raw, raw_mono), _divide_monomial(det, det_mono)
+    if _certify_coprime(a, b):
+        return out
+    names = set(a.free_symbols()) | set(b.free_symbols())
+    g = _uni_gcd(a, b, names.pop()) if len(names) == 1 else _sympy_gcd(a, b)
+    return out if g.total_degree() == 0 else out.exact_divide(g)
 
 
 def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
@@ -158,12 +264,9 @@ def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
     C_b / gcd(C_b, det_b): the gcd runs against the block's own determinant
     and neither det nor any product with P is ever formed.
     """
-    table = blocks.determinants[0].table
-    gens = _sympy_symbols(table)
-    dets = [_to_sympy(d, gens) for d in blocks.determinants]
-    zero = Poly.zero(table)
+    zero = Poly.zero(blocks.determinants[0].table)
     return [
-        zero if item is None else _reduce(item[1], dets[item[0]], gens)
+        zero if item is None else reduce_by_determinant(item[1], blocks.determinants[item[0]])
         for item in blocks.cofactors
     ]
 

@@ -135,6 +135,14 @@ class Constraint:
         if self.relation not in ("=", ">", ">="):
             raise ValueError(f"unsupported relation {self.relation!r}")
 
+    def require_rational(self) -> None:
+        """Raise ConstraintViolation if the constant PI appears: no rational point decides it."""
+        if PI_NAME in self.poly.free_symbols():
+            raise ConstraintViolation(
+                f"constraint {self} involves the constant PI, which has no value "
+                "in the exact rational arithmetic that checks a point"
+            )
+
     def holds_at(self, value: Fraction) -> bool:
         if self.relation == "=":
             return value == 0
@@ -287,6 +295,7 @@ class DensityFamily:
         if extra:
             raise ConstraintViolation(f"unknown parameters in point: {sorted(extra)}")
         for constraint in self.constraints:
+            constraint.require_rational()
             val = constraint.poly.evaluate(values)
             if not constraint.holds_at(val):
                 raise ConstraintViolation(

@@ -8,11 +8,12 @@ elimination the engine does not share: one Bareiss pass, or a cofactor
 expansion, per determinant and per minor.  The equations oracle composes
 the package's own layers, but the other way round from the library: it
 multiplies the blocks out and reduces each full cofactor against the full
-determinant.  The raw-equations oracle skips that reduction and only strips
-each full cofactor.  The grid-walk oracle samples the same grid as the library,
-but substitutes each Fraction grid value into the Poly residuals and
-evaluates every point by Horner's rule over Fractions, with no lattice
-and no integer scaling.
+determinant, by a sympy gcd of the whole polynomials.  The raw-equations
+oracle skips that reduction and only strips each full cofactor.  The
+grid-walk oracle samples the same grid as the library, but substitutes
+each Fraction grid value into the Poly residuals and evaluates every
+point by Horner's rule over Fractions, with no lattice and no integer
+scaling.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from zii.collapse import (
     _elim_texts,
     grid_values,
 )
-from zii.equations import EquationEntry, EquationSystem, compute_mask, reduce_by_determinant
+from zii.equations import EquationEntry, EquationSystem, compute_mask
 from zii.errors import SingularMatrix
 from zii.inverse import det_and_cofactors
 from zii.moments import MomentMatrix, build_matrix
@@ -185,10 +186,27 @@ def cofactor(rows: list[list[Poly]], r: int, c: int) -> Poly:
     return -m if (r + c) % 2 else m
 
 
+def sympy_reduce_oracle(raw: Poly, det: Poly) -> Poly:
+    """raw divided by its monic gcd with det, taken by sympy.Poly.gcd on the whole polynomials."""
+    if raw.is_zero:
+        return raw
+    gens = [sympy.Symbol(n) for n in raw.table.names]
+
+    def to_sympy(p: Poly) -> sympy.Poly:
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+    gcd = {}
+    for monom, coeff in to_sympy(raw).gcd(to_sympy(det)).terms():
+        q = sympy.Rational(coeff)
+        gcd[tuple(int(e) for e in monom)] = Fraction(int(q.p), int(q.q))
+    return raw.exact_divide(Poly(raw.table, gcd))
+
+
 def equations_full_det_oracle(family, degree: int) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
     """(text, provenance pairs) of each stripped mask equation, merged in first-seen order.
 
-    Every raw cofactor adj(r, c) is reduced by its gcd with the whole
+    Every raw cofactor adj(r, c) is reduced by its sympy gcd with the whole
     determinant of M_d, not with its own diagonal block's determinant.
     """
     matrix = build_matrix(family, degree)
@@ -196,7 +214,7 @@ def equations_full_det_oracle(family, degree: int) -> list[tuple[str, tuple[tupl
     det, raws = det_and_cofactors(matrix.rows(), mask.pairs)
     grouped: dict[Poly, list[tuple[int, int]]] = {}
     for pair, raw in zip(mask.pairs, raws):
-        poly = reduce_by_determinant(raw, det).strip_known_nonzero_factors()
+        poly = sympy_reduce_oracle(raw, det).strip_known_nonzero_factors()
         grouped.setdefault(poly, []).append(pair)
     return [(poly.to_text(), tuple(pairs)) for poly, pairs in grouped.items()]
 

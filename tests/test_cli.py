@@ -142,6 +142,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: eliminating e from a linear constraint")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["collapse", "--max-degree", "1"],
+            ["check", "--at", "a00=1,a01=0,a10=0,a11=0,e=4"],
+        ],
+    )
+    def test_pi_in_an_inequality_constraint_is_five(self, tmp_path, command):
+        spec = tmp_path / "pi.zii"
+        bilinear = (REPO_ROOT / "specs" / "bilinear-box.zii").read_text()
+        spec.write_text(
+            bilinear.replace("a11:none\n", "a11:none, e:none\n") + "constraints: e - PI > 0\n"
+        )
+        res = run_cli([command[0], "--spec", str(spec), *command[1:]])
+        assert res.returncode == 5
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: constraint -PI + e > 0 involves the constant PI, which has no "
+            "value in the exact rational arithmetic that checks a point"
+        ]
+
     def test_unknown_family_fails(self):
         res = run_cli(["equations", "--family", "nope", "--degree", "1"])
         assert res.returncode != 0

@@ -448,6 +448,13 @@ class TestAdmission:
         with pytest.raises(ConstraintViolation, match="eliminating e .* PI"):
             analyze_system([residual(fam, "a^2 - 1")], fam)
 
+    @pytest.mark.parametrize("constraint", ["e - PI > 0", "e^2 - PI = 0"])
+    def test_pi_in_a_constraint_without_pivot_is_rejected(self, constraint):
+        # every admission check would fail on it, so it must not reach the walk
+        fam = family_from("a:none, e:none", constraints=constraint)
+        with pytest.raises(ConstraintViolation, match="involves the constant PI"):
+            analyze_system([residual(fam, "a^2 - 1")], fam)
+
     def test_admission_faults_are_not_swallowed(self):
         # an elimination that refers to a symbol with no value is a bug in
         # the caller, not an inadmissible point

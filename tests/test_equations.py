@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zii import equations
 from zii.equations import (
     compute_mask,
     mask_predicate,
@@ -31,6 +34,7 @@ from oracle_defs import (
     equations_full_det_oracle,
     mask_bruteforce_oracle,
     raw_equations_oracle,
+    sympy_reduce_oracle,
 )
 
 
@@ -232,3 +236,108 @@ class TestHandBuiltBlocks:
         for equations in (zii_equations, raw_equations_oracle):
             with pytest.raises(SingularMatrix, match="identically singular"):
                 equations(degree_one_matrix(rows))
+
+
+def count_sympy_fallbacks(monkeypatch) -> list:
+    calls = []
+    real = equations._sympy_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(equations, "_sympy_gcd", counted)
+    return calls
+
+
+def equal_up_to_unit(p: Poly, q: Poly) -> bool:
+    if p.is_zero or q.is_zero:
+        return p.is_zero and q.is_zero
+    return p * q.leading()[1] == q * p.leading()[1]
+
+
+U = SymbolTable.build(["a", "b", "x"])
+A, B, X = (Poly.symbol(U, n) for n in ("a", "b", "x"))
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(M*G*U, M^k*G*V): integer polynomials in 2 or 3 symbols, M a monomial, G often 1."""
+    names = ["a", "b", "x"][: draw(st.integers(2, 3))]
+    syms = [Poly.symbol(U, n) for n in names]
+
+    def poly(max_terms):
+        p = Poly.zero(U)
+        for _ in range(draw(st.integers(0, max_terms))):
+            term = Poly.const(U, draw(st.integers(-4, 4)))
+            for s in syms:
+                term = term * s ** draw(st.integers(0, 2))
+            p = p + term
+        return p
+
+    shared = Poly.const(U, 1)
+    for s in syms:
+        shared = shared * s ** draw(st.integers(0, 2))
+    g = poly(2) if draw(st.booleans()) else Poly.const(U, 1)
+    g = g if not g.is_zero else Poly.const(U, 1)
+    v = poly(3)
+    v = v if not v.is_zero else Poly.const(U, 1)
+    return shared * g * poly(3), g * v * shared ** draw(st.integers(0, 2))
+
+
+class TestReductionCertificate:
+    """reduce_by_determinant against a whole-polynomial sympy gcd."""
+
+    @pytest.mark.parametrize(
+        "name,d", [(n, d) for n in sorted(BUILTIN_FAMILIES) for d in (1, 2, 3)]
+    )
+    def test_in_block_cofactors_equal_sympy_without_fallback(self, monkeypatch, name, d):
+        matrix = build_matrix(BUILTIN_FAMILIES[name](), d)
+        blocks = block_cofactors(matrix.rows(), compute_mask(matrix.basis).pairs)
+        in_block = [item for item in blocks.cofactors if item is not None]
+        expected = [sympy_reduce_oracle(c, blocks.determinants[b]) for b, c in in_block]
+        calls = count_sympy_fallbacks(monkeypatch)
+        got = [reduce_by_determinant(c, blocks.determinants[b]) for b, c in in_block]
+        assert got == expected
+        assert calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(gcd_pairs())
+    def test_random_shared_factors_equal_sympy_up_to_a_unit(self, pair):
+        raw, det = pair
+        assert equal_up_to_unit(reduce_by_determinant(raw, det), sympy_reduce_oracle(raw, det))
+
+    def test_common_monomial_is_the_only_one_divided_out(self, monkeypatch):
+        raw, det = A**3 * X * (A + X + 1), A * X**2 * (B * X - 2)
+        calls = count_sympy_fallbacks(monkeypatch)
+        assert reduce_by_determinant(raw, det) == A**2 * (A + X + 1)
+        assert calls == []
+
+    def test_shared_multivariate_factor_takes_the_sympy_fallback(self, monkeypatch):
+        raw, det = (A + B) * (A - 2 * B + 1), (A + B) * (A * B + 3)
+        assert not equations._certify_coprime(raw, det)
+        calls = count_sympy_fallbacks(monkeypatch)
+        assert reduce_by_determinant(raw, det) == A - 2 * B + 1
+        assert len(calls) == 1
+
+    def test_univariate_remainder_takes_the_euclidean_fallback(self, monkeypatch):
+        raw, det = A * B * (X + 1) * (X - 3), A**2 * (X + 1) ** 2 * (X + 5)
+        calls = count_sympy_fallbacks(monkeypatch)
+        assert reduce_by_determinant(raw, det) == B * (X - 3)
+        assert calls == []
+
+    def test_vanishing_leading_coefficient_gives_up(self, monkeypatch):
+        # at a = 0 the shared factor a*x + 1 becomes 1 and the images are
+        # coprime; the lost x-degree must stop the certificate
+        raw, det = (A * X + 1) * (X + 2), (A * X + 1) * (X - 3)
+        monkeypatch.setattr(equations, "_residues", lambda width: [0] * width)
+        assert not equations._certify_coprime(raw, det)
+        calls = count_sympy_fallbacks(monkeypatch)
+        assert reduce_by_determinant(raw, det) == X + 2
+        assert len(calls) == 1
+
+    def test_prime_in_a_denominator_gives_up(self):
+        p = equations._PRIME
+        raw, det = A * X + Fraction(1, p), A * X + 2
+        assert not equations._certify_coprime(raw, det)
+        assert reduce_by_determinant(raw, det) == raw

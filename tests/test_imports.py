@@ -1,4 +1,7 @@
-"""`import zii` stays light: sympy, numpy and scipy load only when used."""
+"""`import zii` stays light: sympy, numpy and scipy load only when used.
+
+sympy is only the general gcd fallback, which no built-in family reaches.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import subprocess
 import sys
 
 from conftest import REPO_ROOT
+from test_cli import golden_commands
 
 SRC = str(REPO_ROOT / "src")
 HEAVY = ("sympy", "numpy", "scipy")
@@ -50,3 +54,37 @@ def test_numeric_names_load_on_first_use():
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_equations_of_builtins_leave_sympy_out():
+    code = (
+        "import sys\n"
+        "from zii import BUILTIN_FAMILIES, zii_equations\n"
+        "for name, family in sorted(BUILTIN_FAMILIES.items()):\n"
+        "    for d in (1, 2, 3):\n"
+        "        zii_equations(family(), d)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_golden_equations_and_collapse_commands_leave_sympy_out(tmp_path):
+    argvs = [
+        [*args, "--out", str(tmp_path / "out.json")] if uses_out else args
+        for args, _, uses_out in golden_commands()
+        if args[0] in ("equations", "collapse")
+    ]
+    assert len(argvs) == 5
+    code = (
+        "import contextlib, io, sys\n"
+        "from zii import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
