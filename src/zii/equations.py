@@ -18,12 +18,12 @@ its own block's determinant.  The full determinant is never formed here.
 That gcd is found in three steps, each exact:
 
 1. split off the monomial content of both (the minimum exponent of each
-   symbol, e.g. a power of PI) and prove what is left coprime, one
-   symbol at a time, by a univariate gcd over F_p at a specialisation
-   that keeps the degree in that symbol; the gcd is then the common
-   monomial;
-2. failing that, when one symbol is left, a Euclidean gcd over Q;
-3. otherwise sympy's multivariate gcd, imported only then.
+   symbol, e.g. a power of PI); when one symbol is left, finish with a
+   Euclidean gcd over Q;
+2. otherwise prove what is left coprime, one symbol at a time, by a
+   univariate gcd over F_p at a specialisation that keeps the degree in
+   that symbol; the gcd is then the common monomial;
+3. failing that, sympy's multivariate gcd, imported only then.
 
 The built-in families never reach step 3.  The numerator is then
 stripped of rational content, monomials in positive symbols, and an
@@ -239,20 +239,24 @@ def reduce_by_determinant(raw: Poly, det: Poly) -> Poly:
     """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det).
 
     The gcd's monomial part is the common minimum exponent of each symbol.
-    What is left is usually coprime, which one F_p image per shared symbol
-    proves; only an uncertified pair is reduced by a univariate gcd (one
-    symbol left) or, failing that, by sympy.  The divisor is monic, as
-    sympy's gcd over QQ is, so the result does not depend on the step.
+    When one symbol is left, the rest is an exact univariate gcd.  With
+    more, the rest is usually coprime, which one F_p image per shared
+    symbol proves; only an uncertified pair is reduced by sympy.  The
+    divisor is monic, as sympy's gcd over QQ is, so the result does not
+    depend on the step.
     """
     if raw.is_zero:
         return raw
     raw_mono, det_mono = _monomial_content(raw), _monomial_content(det)
     out = _divide_monomial(raw, tuple(map(min, raw_mono, det_mono)))
     a, b = _divide_monomial(raw, raw_mono), _divide_monomial(det, det_mono)
-    if _certify_coprime(a, b):
-        return out
     names = set(a.free_symbols()) | set(b.free_symbols())
-    g = _uni_gcd(a, b, names.pop()) if len(names) == 1 else _sympy_gcd(a, b)
+    if len(names) == 1:
+        g = _uni_gcd(a, b, names.pop())
+    elif _certify_coprime(a, b):
+        return out
+    else:
+        g = _sympy_gcd(a, b)
     return out if g.total_degree() == 0 else out.exact_divide(g)
 
 
@@ -272,6 +276,18 @@ def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
 
 
 # -- extraction --------------------------------------------------------------
+
+
+def _share_storage(p: Poly, shared: dict) -> Poly:
+    """p with each exponent vector and coefficient taken from `shared` when equal.
+
+    One system's equations repeat both (disk-quadratic d=3: 511 terms over
+    145 exponent vectors and 127 coefficients); both are immutable, so the
+    system keeps one copy of each.  `shared` lives for one call only.
+    """
+    return Poly(
+        p.table, {shared.setdefault(e, e): shared.setdefault(c, c) for e, c in p.terms.items()}
+    )
 
 
 def zii_equations(family_or_matrix, degree: int | None = None) -> EquationSystem:
@@ -301,5 +317,6 @@ def zii_equations(family_or_matrix, degree: int | None = None) -> EquationSystem
             grouped[poly] = []
             ordered.append(poly)
         grouped[poly].append(pair)
-    entries = tuple(EquationEntry(p, tuple(grouped[p])) for p in ordered)
+    shared: dict = {}
+    entries = tuple(EquationEntry(_share_storage(p, shared), tuple(grouped[p])) for p in ordered)
     return EquationSystem(basis.degree, basis, entries)

@@ -32,15 +32,6 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-# one stored copy of each exponent vector and coefficient that canonical
-# equations use; both are immutable, so equal equations share storage
-_SHARED: dict = {}
-
-
-def _shared(value):
-    return _SHARED.setdefault(value, value)
-
-
 class Poly:
     """Immutable sparse polynomial; do not mutate `terms` after creation."""
 
@@ -307,11 +298,7 @@ class Poly:
             scale = -scale
         terms = self.terms.items()
         return Poly(
-            self.table,
-            {
-                _shared(tuple(e[i] - shift[i] for i in range(width))): _shared(c / scale)
-                for e, c in terms
-            },
+            self.table, {tuple(e[i] - shift[i] for i in range(width)): c / scale for e, c in terms}
         )
 
     # -- univariate view ---------------------------------------------------

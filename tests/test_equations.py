@@ -84,6 +84,19 @@ class TestEquationExtraction:
             assert system.nontrivial() == ()
             assert all(e.is_trivial for e in system.entries)
 
+    def test_one_system_keeps_one_copy_of_each_exponent_vector_and_coefficient(self):
+        first = zii_equations(disk_quadratic(), 2)
+        second = zii_equations(disk_quadratic(), 2)
+        assert first == second
+        stored = [
+            [obj for p in system.polys() for item in p.terms.items() for obj in item]
+            for system in (first, second)
+        ]
+        for objs in stored:
+            assert len({id(o) for o in objs}) == len(set(objs)) < len(objs)
+        # the table lives for one call: two calls share no storage
+        assert not {id(o) for o in stored[0]} & {id(o) for o in stored[1]}
+
     def test_sum_power_exp_degree_one(self):
         system = zii_equations(sum_power_exp(), 1)
         (entry,) = system.nontrivial()
@@ -320,8 +333,10 @@ class TestReductionCertificate:
         assert reduce_by_determinant(raw, det) == A - 2 * B + 1
         assert len(calls) == 1
 
-    def test_univariate_remainder_takes_the_euclidean_fallback(self, monkeypatch):
+    def test_univariate_remainder_takes_the_euclidean_path_alone(self, monkeypatch):
+        # one symbol left after the monomial split: no F_p certificate
         raw, det = A * B * (X + 1) * (X - 3), A**2 * (X + 1) ** 2 * (X + 5)
+        monkeypatch.setattr(equations, "_certify_coprime", None)
         calls = count_sympy_fallbacks(monkeypatch)
         assert reduce_by_determinant(raw, det) == B * (X - 3)
         assert calls == []
