@@ -18,14 +18,16 @@ its own block's determinant.  The full determinant is never formed here.
 That gcd is found in three steps, each exact:
 
 1. split off the monomial content of both (the minimum exponent of each
-   symbol, e.g. a power of PI); when one symbol is left, finish with a
-   Euclidean gcd over Q;
+   symbol, e.g. a power of PI); when one symbol is left, finish with
+   Euclid over Z on primitive parts and divide by an integer long division;
 2. otherwise prove what is left coprime, one symbol at a time, by a
    univariate gcd over F_p at a specialisation that keeps the degree in
    that symbol; the gcd is then the common monomial;
 3. failing that, sympy's multivariate gcd, imported only then.
 
-The built-in families never reach step 3.  The numerator is then
+The determinant side of these steps is prepared once per block and
+serves every cofactor in it.  The built-in families never reach step 3.
+The numerator is then
 stripped of rational content, monomials in positive symbols, and an
 overall sign.  Identical stripped equations from different mask
 positions are merged, keeping every originating position as provenance.
@@ -42,7 +44,7 @@ from .inverse import BlockCofactors, block_cofactors
 from .measures import DensityFamily
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
 from .poly import Exponents, Poly
-from .roots import uni_gcd
+from .roots import exact_quotient, primitive, primitive_gcd
 
 __all__ = ["ZiiMask", "EquationEntry", "EquationSystem", "compute_mask", "zii_equations"]
 
@@ -187,7 +189,22 @@ def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-def _certify_coprime(a: Poly, b: Poly) -> bool:
+class _Images:
+    """p mod _PRIME, and its image in each symbol (see _image), made on first use."""
+
+    def __init__(self, p: Poly, residues: list[int]):
+        self.symbols = {p.table.index(n) for n in p.free_symbols()}
+        self.terms = _terms_mod_p(p)
+        self.residues = residues
+        self._images: dict[int, list[int]] = {}
+
+    def __getitem__(self, idx: int) -> list[int]:
+        if idx not in self._images:
+            self._images[idx] = _image(self.terms, idx, self.residues)
+        return self._images[idx]
+
+
+def _certify_coprime(a: Poly, b: Poly | _Images) -> bool:
     """True only if gcd(a, b) over Q has degree 0 in every symbol both contain.
 
     Specialisation lemma (Brown's modular gcd): for a shared symbol x, map
@@ -195,25 +212,21 @@ def _certify_coprime(a: Poly, b: Poly) -> bool:
     its degree in x, the image of gcd(a, b) divides both images with its
     x-degree intact, so an F_p gcd of degree 0 proves that the rational
     gcd has x-degree 0.  False means "not certified", not "not coprime".
+    b may come as its _Images already, to map it once for many a.
     """
-    in_b = b.free_symbols()
-    shared = [a.table.index(n) for n in a.free_symbols() if n in in_b]
+    if isinstance(b, Poly):
+        b = _Images(b, _residues(len(b.table)))
+    shared = sorted(b.symbols.intersection(a.table.index(n) for n in a.free_symbols()))
     if not shared:
         return True
-    terms_a, terms_b = _terms_mod_p(a), _terms_mod_p(b)
-    if terms_a is None or terms_b is None:
+    a = _Images(a, b.residues)
+    if a.terms is None or b.terms is None:
         return False
-    residues = _residues(len(a.table))
     for idx in shared:
-        image_a, image_b = _image(terms_a, idx, residues), _image(terms_b, idx, residues)
-        if not (image_a[-1] and image_b[-1]) or _gcd_degree_mod_p(image_a, image_b):
+        image_a, image_b = a[idx], b[idx]
+        if not (image_a[-1] and image_b[-1]) or _gcd_degree_mod_p(list(image_a), list(image_b)):
             return False
     return True
-
-
-def _uni_gcd(a: Poly, b: Poly, name: str) -> Poly:
-    coeffs = uni_gcd(a.as_univariate(name), b.as_univariate(name))
-    return Poly.from_univariate(a.table, name, coeffs)
 
 
 def _sympy_gcd(a: Poly, b: Poly) -> Poly:
@@ -235,29 +248,74 @@ def _sympy_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(a.table, terms)
 
 
+class _Determinant:
+    """The determinant side of raw/det, computed once for every raw it reduces.
+
+    That is det's monomial content and the quotient by it, its symbols,
+    and, on first use, its primitive integer coefficients (one symbol) or
+    its F_p images (several).
+    """
+
+    def __init__(self, det: Poly):
+        self.mono = _monomial_content(det)
+        self.rest = _divide_monomial(det, self.mono)
+        self.symbols = set(self.rest.free_symbols())
+        self._part: list[int] | None = None
+        self._images: _Images | None = None
+
+    def part(self, name: str) -> list[int]:
+        if self._part is None:
+            self._part = primitive(self.rest.as_univariate(name))[1]
+        return self._part
+
+    def images(self) -> _Images:
+        if self._images is None:
+            self._images = _Images(self.rest, _residues(len(self.rest.table)))
+        return self._images
+
+    def reduce(self, raw: Poly) -> Poly:
+        """Numerator of raw/det in lowest terms; see reduce_by_determinant."""
+        if raw.is_zero:
+            return raw
+        raw_mono = _monomial_content(raw)
+        shift = tuple(map(min, raw_mono, self.mono))
+        a = _divide_monomial(raw, raw_mono)
+        names = set(a.free_symbols()) | self.symbols
+        if len(names) == 1:
+            name = names.pop()
+            content, part = primitive(a.as_univariate(name))
+            g = primitive_gcd(part, self.part(name))
+            if len(g) == 1:
+                return _divide_monomial(raw, shift)
+            # a / monic(g) = content * part / (g / g[-1]), and part / g is exact over Z
+            scale = content * g[-1]
+            idx = raw.table.index(name)
+            base = [m - s for m, s in zip(raw_mono, shift)]
+            offset = base[idx]
+            terms = {}
+            for k, c in enumerate(exact_quotient(part, g)):
+                if c:
+                    base[idx] = offset + k
+                    terms[tuple(base)] = scale * c
+            return Poly(raw.table, terms)
+        out = _divide_monomial(raw, shift)
+        if _certify_coprime(a, self.images()):
+            return out
+        g = _sympy_gcd(a, self.rest)
+        return out if g.total_degree() == 0 else out.exact_divide(g)
+
+
 def reduce_by_determinant(raw: Poly, det: Poly) -> Poly:
     """Numerator of raw/det in lowest terms: raw divided by gcd(raw, det).
 
     The gcd's monomial part is the common minimum exponent of each symbol.
-    When one symbol is left, the rest is an exact univariate gcd.  With
-    more, the rest is usually coprime, which one F_p image per shared
-    symbol proves; only an uncertified pair is reduced by sympy.  The
-    divisor is monic, as sympy's gcd over QQ is, so the result does not
-    depend on the step.
+    When one symbol is left, the rest is Euclid over Z on primitive parts,
+    and the quotient an integer long division.  With more, the rest is
+    usually coprime, which one F_p image per shared symbol proves; only an
+    uncertified pair is reduced by sympy.  The divisor is monic, as
+    sympy's gcd over QQ is, so the result does not depend on the step.
     """
-    if raw.is_zero:
-        return raw
-    raw_mono, det_mono = _monomial_content(raw), _monomial_content(det)
-    out = _divide_monomial(raw, tuple(map(min, raw_mono, det_mono)))
-    a, b = _divide_monomial(raw, raw_mono), _divide_monomial(det, det_mono)
-    names = set(a.free_symbols()) | set(b.free_symbols())
-    if len(names) == 1:
-        g = _uni_gcd(a, b, names.pop())
-    elif _certify_coprime(a, b):
-        return out
-    else:
-        g = _sympy_gcd(a, b)
-    return out if g.total_degree() == 0 else out.exact_divide(g)
+    return _Determinant(det).reduce(raw)
 
 
 def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
@@ -266,13 +324,12 @@ def _reduce_in_blocks(blocks: BlockCofactors) -> list[Poly]:
     A cofactor inside block b is C_b * P and det = det_b * P, where P is the
     product of the other blocks' determinants, so its reduced numerator is
     C_b / gcd(C_b, det_b): the gcd runs against the block's own determinant
-    and neither det nor any product with P is ever formed.
+    and neither det nor any product with P is ever formed.  Each block's
+    determinant side is prepared once for all of its cofactors.
     """
     zero = Poly.zero(blocks.determinants[0].table)
-    return [
-        zero if item is None else reduce_by_determinant(item[1], blocks.determinants[item[0]])
-        for item in blocks.cofactors
-    ]
+    dets = [_Determinant(d) for d in blocks.determinants]
+    return [zero if item is None else dets[item[0]].reduce(item[1]) for item in blocks.cofactors]
 
 
 # -- extraction --------------------------------------------------------------

@@ -17,12 +17,18 @@ determinant is homogeneous of degree m*e and every cofactor of degree
 coefficients, so the block takes integer values at integer points.
 
 The determinant has total degree at most D, the sum over the rows of the
-largest total degree in the row, and no cofactor exceeds it.  The block is
-evaluated at the integer points x >= 1 with sum(x_i - 1) <= D, a simplex
-grid that determines any polynomial of total degree D.  At each point one
-fraction-free Gauss-Jordan pass gives the determinant and the whole
-adjugate exactly; where the block is singular the requested entries come
-from exact minors instead.  Nodes never move and nothing is random, so a
+largest total degree in the row, and no cofactor exceeds it.  When every
+nonzero entry has 2 deg(i,j) <= deg(i,i) + deg(j,j), D is also at most
+the sum of the diagonal degrees: each entry's degree is at most the mean
+of its two diagonal degrees, and over a permutation, or over the rows
+and columns left in a minor, those means add up to at most that sum.  A
+zero diagonal entry counts as degree 0, which the argument allows.  The
+smaller bound is used; on sum-power-exp at d=3 it is 40 against the row
+bound's 50.  The block is evaluated at the integer points x >= 1 with
+sum(x_i - 1) <= D, a simplex grid that determines any polynomial of
+total degree D.  At each point one fraction-free Gauss-Jordan pass gives
+the determinant and the whole adjugate exactly; where the block is
+singular the requested entries come from exact minors instead.  Nodes never move and nothing is random, so a
 run is reproducible.  The determinant and only the requested cofactors are
 then recovered by multivariate Newton interpolation.  On unit-spaced nodes
 the divided differences are forward differences over factorials, taken one
@@ -32,12 +38,15 @@ The inverse is returned exactly as (adjugate, determinant): entries of
 M^(-1) are adj[r][c] / det, with no rational normal form imposed here.
 On symmetric input the adjugate is symmetric and only one triangle is
 computed.  A cheap self-check substitutes a fixed rational point and
-verifies M(v) * adj(v) == det(v) * I before returning.
+verifies M(v) * adj(v) == det(v) * I before returning, in integers: each
+row of M(v) and each column of adj(v) is scaled by the lcm of its
+denominators, and det(v) = p/q is cleared of q.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,6 +243,15 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
     degree = [max((sum(e) for e, _ in t), default=0) for t in terms]
     slots = [[slot.get(p, 0) for p in row] for row in block]
     bound = sum(max(degree[s] for s in row) for row in slots)
+    # the diagonal degree bound of the module docstring, where its condition holds
+    diagonal = [degree[row[i]] for i, row in enumerate(slots)]
+    if all(
+        2 * degree[s] <= diagonal[i] + diagonal[j]
+        for i, row in enumerate(slots)
+        for j, s in enumerate(row)
+        if s
+    ):
+        bound = min(bound, sum(diagonal))
 
     grid = _simplex(len(keep), bound)
     powers = [[(a + 1) ** e for e in range(max(degree) + 1)] for a in range(bound + 1)]
@@ -441,14 +459,26 @@ def invert_exact(matrix) -> ExactInverse:
 
 
 def _verify_adjugate(rows: Rows, inverse: ExactInverse, point: dict[str, Fraction]):
+    """Check M(v) * adj(v) == det(v) * I exactly, in integers.
+
+    Row i of M(v) is scaled by the lcm r_i of its denominators, column j of
+    adj(v) by the lcm c_j of its, and det(v) = p/q in lowest terms; the
+    identity is then q * (M' adj')[i][j] == p * r_i * c_j on the diagonal
+    and 0 off it.
+    """
     n = len(rows)
     m_num = [[e.evaluate(point) for e in row] for row in rows]
     a_num = [[e.evaluate(point) for e in row] for row in inverse.adjugate]
-    d_num = inverse.determinant.evaluate(point)
+    det = inverse.determinant.evaluate(point)
+    r = [math.lcm(*(v.denominator for v in row)) for row in m_num]
+    m_int = [[v.numerator * (s // v.denominator) for v in row] for s, row in zip(r, m_num)]
+    cols = list(zip(*a_num))
+    c = [math.lcm(*(v.denominator for v in col)) for col in cols]
+    a_int = [[v.numerator * (s // v.denominator) for v in col] for s, col in zip(c, cols)]
     for i in range(n):
         for j in range(n):
-            acc = sum(m_num[i][k] * a_num[k][j] for k in range(n))
-            expected = d_num if i == j else 0
+            acc = det.denominator * sum(map(operator.mul, m_int[i], a_int[j]))
+            expected = det.numerator * r[i] * c[j] if i == j else 0
             if acc != expected:
                 raise AssertionError(
                     f"adjugate self-check failed at entry ({i}, {j}): {acc} != {expected}"

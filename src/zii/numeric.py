@@ -23,7 +23,8 @@ I0 is the order-zero modified Bessel function, computed two ways: the
 plain power series (terms added until below 1e-17 of the partial sum),
 and scipy's scaled i0e recombined in log space so large arguments cannot
 overflow.  The evaluator uses the log-space form; the series is exposed
-for cross-checking it.
+for cross-checking it.  scipy.special is imported only by the orthant
+quadrature and that evaluator, so box and disk checks never load it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import special
 
 from .equations import compute_mask
 from .errors import IllConditioned, NoConvergence, ZiiError
@@ -139,6 +139,8 @@ def kibble_gamma(rho: float, sigma1: float = 1.0, sigma2: float = 1.0) -> Numeri
         if rho == 0:
             expo = x + y - x / sigma1 - y / sigma2
             return np.exp(expo) / (sigma1 * sigma2)
+        from scipy import special
+
         omr = 1.0 - rho
         z = 2.0 * np.sqrt(rho * x * y / (sigma1 * sigma2)) / omr
         expo = (x + y) - (x / sigma1 + y / sigma2) / omr + z
@@ -152,6 +154,8 @@ def kibble_gamma(rho: float, sigma1: float = 1.0, sigma2: float = 1.0) -> Numeri
 
 @lru_cache(maxsize=256)
 def _laguerre_nodes(n: int, alpha_num: int, alpha_den: int):
+    from scipy import special
+
     alpha = alpha_num / alpha_den
     nodes, weights = special.roots_genlaguerre(n, alpha)
     return nodes, weights
@@ -165,6 +169,8 @@ def _legendre_nodes(n: int):
 
 
 def _integrate_orthant(nd: NumericDensity, i: int, j: int, n: int) -> float:
+    from scipy import special
+
     base = nd.base
     kx, ky = Fraction(base.shape_x), Fraction(base.shape_y)
     ax, wx = _laguerre_nodes(n, (kx - 1).numerator, (kx - 1).denominator)

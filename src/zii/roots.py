@@ -1,6 +1,11 @@
 """Exact univariate root finding over the rationals.
 
 Polynomials here are plain ascending coefficient lists of Fractions.
+The gcd runs over the integers: Euclid on primitive parts, where each
+pseudo-remainder is divided by its content and the result is made monic
+only at the end, so no Fraction arithmetic grows inside the loop
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6); an exact
+quotient of primitive parts is an integer long division.
 Rational roots are found exactly by the divisor test (numerator divides
 the trailing coefficient, denominator divides the leading one, after
 clearing denominators and powers of x), with integer factorization done
@@ -17,11 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZiiError
+from .errors import InexactDivision, ZiiError
 
 __all__ = [
     "uni_eval",
     "uni_derivative",
+    "primitive",
+    "primitive_gcd",
+    "exact_quotient",
     "uni_gcd",
     "squarefree_part",
     "rational_roots",
@@ -73,16 +81,92 @@ def _divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], l
     return q, rem
 
 
-def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+def primitive(coeffs: list[Fraction]) -> tuple[Fraction, list[int]]:
+    """(content, part) with coeffs == content * part and part primitive.
+
+    The part's coefficients are coprime integers with a positive leading
+    one; the zero polynomial is (1, []).
+    """
+    p = _trim(coeffs)
+    if not p:
+        return Fraction(1), []
+    den = math.lcm(*(c.denominator for c in p))
+    part = _primitive_int([c.numerator * (den // c.denominator) for c in p])
+    return Fraction(p[-1].numerator * (den // p[-1].denominator), den * part[-1]), part
+
+
+def _primitive_int(ints: list[int]) -> list[int]:
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b; a, b trimmed, b nonzero."""
+    lead = b[-1]
+    while len(a) >= len(b):
+        g = math.gcd(a[-1], lead)
+        fa, fb = lead // g, a[-1] // g
+        if fa != 1:
+            a = [fa * c for c in a]
+        shift = len(a) - len(b)
+        a[shift:-1] = [x - fb * y for x, y in zip(a[shift:-1], b)]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
     return a
+
+
+def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z, leading coefficient positive, of two integer lists.
+
+    Euclid on primitive parts: each pseudo-remainder is divided by its
+    content, so the coefficients stay about as small as the inputs'.
+    """
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return []
+    a = _primitive_int(a)
+    while b:
+        b = _primitive_int(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return a
+
+
+def exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den over Z by long division; InexactDivision unless it is exact.
+
+    For primitive num and den this is exact whenever den divides num over
+    Q (Gauss's lemma), so a remainder proves den is no factor of num.
+    """
+    den = _trim(den)
+    if not den:
+        raise InexactDivision("division by the zero polynomial")
+    rem = _trim(num)
+    lead = den[-1]
+    q = [0] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        c, r = divmod(rem[-1], lead)
+        if r:
+            raise InexactDivision(f"{den} does not divide {num}")
+        shift = len(rem) - len(den)
+        q[shift] = c
+        rem[shift:-1] = [x - c * y for x, y in zip(rem[shift:-1], den)]
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    if rem:
+        raise InexactDivision(f"{den} does not divide {num}")
+    return q
+
+
+def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd: Euclid over Z on the primitive parts, made monic at the end."""
+    g = primitive_gcd(primitive(a)[1], primitive(b)[1])
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:

@@ -13,7 +13,8 @@ oracle skips that reduction and only strips each full cofactor.  The
 grid-walk oracle samples the same grid as the library, but substitutes
 each Fraction grid value into the Poly residuals and evaluates every
 point by Horner's rule over Fractions, with no lattice and no integer
-scaling.
+scaling.  The univariate gcd oracle is Euclid over Fractions, where the
+library runs it over the integers on primitive parts.
 """
 
 from __future__ import annotations
@@ -184,6 +185,28 @@ def cofactor(rows: list[list[Poly]], r: int, c: int) -> Poly:
     """Signed minor C_rc = (-1)^(r+c) det(M with row r, column c removed)."""
     m = minor_det(rows, r, c)
     return -m if (r + c) % 2 else m
+
+
+def uni_gcd_fraction(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of ascending coefficient lists by Euclid over Fractions."""
+
+    def trim(p: list[Fraction]) -> list[Fraction]:
+        p = list(p)
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            factor = Fraction(rem[-1]) / b[-1]
+            shift = len(rem) - len(b)
+            for k, c in enumerate(b):
+                rem[shift + k] -= factor * c
+            rem = trim(rem)
+        a, b = b, rem
+    return [Fraction(c) / a[-1] for c in a] if a else a
 
 
 def sympy_reduce_oracle(raw: Poly, det: Poly) -> Poly:

@@ -356,3 +356,45 @@ class TestReductionCertificate:
         raw, det = A * X + Fraction(1, p), A * X + 2
         assert not equations._certify_coprime(raw, det)
         assert reduce_by_determinant(raw, det) == raw
+
+
+@st.composite
+def one_symbol_pairs(draw):
+    """(M*G*U, N*G*V): G, U, V rational in x alone, M and N monomials in a, b and x."""
+    coeff = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+
+    def uni(max_degree):
+        return sum((draw(coeff) * X**k for k in range(draw(st.integers(0, max_degree)) + 1)),
+                   Poly.zero(U))
+
+    def monomial():
+        return A ** draw(st.integers(0, 2)) * B ** draw(st.integers(0, 1)) * X ** draw(
+            st.integers(0, 2)
+        )
+
+    g, u, v = uni(2), uni(2), uni(2)
+    g = g if not g.is_zero else Poly.const(U, Fraction(2, 3))
+    v = v if not v.is_zero else Poly.const(U, 1)
+    return monomial() * g * u, monomial() * g * v
+
+
+class TestOneSymbolReduction:
+    """Euclid over Z and an integer quotient when one symbol is left."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(one_symbol_pairs())
+    def test_equals_the_sympy_oracle_exactly(self, pair):
+        raw, det = pair
+        assert reduce_by_determinant(raw, det) == sympy_reduce_oracle(raw, det)
+
+    def test_rational_gcd_content_is_divided_out_monic(self):
+        # gcd (2x/3 + 1/2) is taken monic, x + 3/4, so the quotient keeps its 2/3
+        g = Fraction(2, 3) * X + Fraction(1, 2)
+        raw, det = A * g * (X - 1), B * g * (3 * X + 5)
+        assert reduce_by_determinant(raw, det) == A * Fraction(2, 3) * (X - 1)
+
+    def test_one_prepared_determinant_serves_every_cofactor(self):
+        det = A * (X + 1) ** 2 * (X - 2)
+        prepared = equations._Determinant(det)
+        for raw in (X + 1, A * (X - 2) * (X + 3), B * X, A * B + X, Poly.zero(U)):
+            assert prepared.reduce(raw) == sympy_reduce_oracle(raw, det)

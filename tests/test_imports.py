@@ -88,3 +88,22 @@ def test_golden_equations_and_collapse_commands_leave_sympy_out(tmp_path):
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_box_residuals_leave_scipy_special_out():
+    # only the orthant quadrature and the correlated gamma density use it
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import zii.numeric\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "from zii import BUILTIN_FAMILIES\n"
+        "from zii.numeric import numeric_density, numeric_zii_residuals\n"
+        "family = BUILTIN_FAMILIES['bilinear-box']()\n"
+        "point = {'a00': Fraction(1), 'a01': Fraction(1, 4), 'a10': Fraction(1, 4), 'a11': 0}\n"
+        "numeric_zii_residuals(numeric_density(family, point), 2)\n"
+        "print(before, 'scipy.special' in sys.modules)\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False False"

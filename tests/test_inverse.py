@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zii.errors import SingularMatrix, SymbolTableMismatch
+from zii import inverse
 from zii.inverse import (
+    ExactInverse,
+    _verify_adjugate,
     block_cofactors,
     blocked_cofactors,
     connected_components,
@@ -339,3 +342,110 @@ class TestAdjugateProperty:
                 for k in range(n):
                     acc = acc + rows[i][k] * adj[k][j]
                 assert acc == (det if i == j else Poly.zero(T))
+
+
+@st.composite
+def graded_matrices(draw, max_n=4):
+    """Integer polynomials in s and t whose (i, j) entry has degree at most about (d_i + d_j)/2.
+
+    The diagonal degrees d_i are drawn first; an entry sometimes exceeds
+    its cap by one, or the diagonal entry is zero, so both sides of the
+    diagonal degree bound's condition are drawn.
+    """
+    n = draw(st.integers(1, max_n))
+    diag = [draw(st.integers(0, 3)) for _ in range(n)]
+    s, t = Poly.symbol(T, "s"), Poly.symbol(T, "t")
+
+    def entry(cap):
+        monomials = [(i, j) for i in range(cap + 1) for j in range(cap + 1 - i)]
+        p = Poly.zero(T)
+        for i, j in draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True)):
+            p = p + draw(st.integers(-3, 3)) * s**i * t**j
+        return p
+
+    return [
+        [entry((diag[i] + diag[j]) // 2 + draw(st.sampled_from([0, 0, 0, 1]))) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestDiagonalDegreeBound:
+    """Interpolation on min(row bound, sum of diagonal degrees) when that is proven enough."""
+
+    def test_off_diagonal_above_the_diagonal_degrees(self):
+        # 2 deg(0, 1) = 4 > deg(0, 0) + deg(1, 1) = 0: the row bound 4 is needed
+        s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
+        rows = [[one, s**2], [s**2, one]]
+        assert determinant(rows) == one - s**4
+        assert_matches_bareiss(rows)
+
+    def test_zero_diagonal_entry(self):
+        # a zero diagonal entry counts as degree 0: here the diagonal sum 2
+        # is too small, and the condition fails at (0, 1)
+        s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
+        zero = Poly.zero(T)
+        rows = [[zero, s, one], [s, zero, t], [one, t, s * t]]
+        assert determinant(rows).total_degree() == 4
+        assert_matches_bareiss(rows)
+
+    def test_zero_diagonal_entry_meeting_the_condition(self):
+        s, one, zero = Poly.symbol(T, "s"), Poly.const(T, 1), Poly.zero(T)
+        rows = [[zero, one, s], [one, s**2, s], [s, s, s**2]]
+        assert_matches_bareiss(rows)
+
+    def test_tight_diagonal_bound(self):
+        s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
+        rows = [[one, s, one], [s, s * t + one, t**2], [one, t**2, t**4 + s]]
+        assert_matches_bareiss(rows)
+
+    def test_sum_power_exp_degree_three_uses_the_diagonal_bound(self, monkeypatch):
+        calls = []
+        simplex = inverse._simplex
+
+        def recorded(k, bound):
+            calls.append((k, bound))
+            return simplex(k, bound)
+
+        monkeypatch.setattr(inverse, "_simplex", recorded)
+        rows = build_matrix(sum_power_exp(), 3).rows()
+        block_cofactors(rows)
+        # one symbol, degree 40 instead of the row bound's 50
+        assert [c for c in calls if c[0]] == [(1, 40)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_matrices())
+    def test_graded_matrices_equal_bareiss(self, rows):
+        assert_matches_bareiss(rows)
+
+
+class TestIntegerSelfCheck:
+    """_verify_adjugate: M(v) adj(v) == det(v) I on integer rescalings."""
+
+    def setup_method(self):
+        s, t = Poly.symbol(T, "s"), Poly.symbol(T, "t")
+        self.rows = [[s, Poly.const(T, Fraction(1, 3))], [Poly.const(T, 2), t]]
+        self.inverse = invert_exact(self.rows)
+        self.point = {"s": Fraction(3, 2), "t": Fraction(5, 2)}
+
+    def test_passes_with_a_fractional_determinant(self):
+        assert self.inverse.determinant.evaluate(self.point) == Fraction(37, 12)
+        _verify_adjugate(self.rows, self.inverse, self.point)
+
+    @pytest.mark.parametrize("r,c", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_corrupted_adjugate_entry_raises(self, r, c):
+        adj = [list(row) for row in self.inverse.adjugate]
+        adj[r][c] = adj[r][c] + Fraction(1, 7)
+        corrupted = ExactInverse(tuple(map(tuple, adj)), self.inverse.determinant)
+        with pytest.raises(AssertionError):
+            _verify_adjugate(self.rows, corrupted, self.point)
+
+    def test_corrupted_determinant_raises(self):
+        corrupted = ExactInverse(self.inverse.adjugate, self.inverse.determinant * 2)
+        with pytest.raises(AssertionError):
+            _verify_adjugate(self.rows, corrupted, self.point)
+
+    def test_integer_determinant_with_fractional_entries(self):
+        rows = const_rows([[Fraction(1, 2), 1], [Fraction(-1, 2), 1]])
+        inv = invert_exact(rows)
+        assert inv.determinant.constant_value() == 1
+        _verify_adjugate(rows, inv, {})

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 
 import sympy
 
+from zii.errors import InexactDivision
 from zii.roots import (
     ISOLATION_WIDTH,
     count_real_roots,
+    exact_quotient,
     isolate_real_roots,
+    primitive,
+    primitive_gcd,
     rational_roots,
     real_roots,
     squarefree_part,
@@ -23,6 +27,8 @@ from zii.roots import (
     uni_eval,
     uni_gcd,
 )
+
+from oracle_defs import uni_gcd_fraction
 
 F = Fraction
 
@@ -188,3 +194,81 @@ class TestHelpers:
         assert rr.rational == (F(2),)
         assert len(rr.irrational_intervals) == 2
         assert rr.count == 3
+
+
+def mul(a, b):
+    """Product of two ascending coefficient lists; [] is the zero polynomial."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+rational_lists = st.lists(
+    st.fractions(min_value=F(-6), max_value=F(6), max_denominator=5), max_size=4
+)
+integer_lists = st.lists(st.integers(-9, 9), max_size=4)
+
+
+class TestIntegerGcd:
+    """Euclid over Z on primitive parts against Euclid over Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_lists, rational_lists, rational_lists)
+    def test_shared_factor_equals_the_fraction_oracle(self, g, u, v):
+        a, b = mul(g, u), mul(g, v)
+        assert uni_gcd(a, b) == uni_gcd_fraction(a, b)
+
+    def test_zero_and_constant_edges(self):
+        assert uni_gcd([], []) == []
+        assert uni_gcd([], [F(4), F(-2)]) == [F(-2), F(1)]
+        assert uni_gcd([F(3), F(6)], []) == [F(1, 2), F(1)]
+        assert uni_gcd([F(5, 3)], [F(1), F(1)]) == [F(1)]
+
+    def test_gcd_is_monic_with_a_rational_content(self):
+        # (2x/3 + 1/2)(x - 1) and (2x/3 + 1/2)(x + 5): gcd x + 3/4
+        g = [F(1, 2), F(2, 3)]
+        assert uni_gcd(mul(g, [F(-1), F(1)]), mul(g, [F(5), F(1)])) == [F(3, 4), F(1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_lists)
+    def test_primitive_splits_off_the_content(self, coeffs):
+        content, part = primitive(coeffs)
+        assert [content * c for c in part] == [F(c) for c in coeffs[: len(part)]]
+        assert all(c == 0 for c in coeffs[len(part):])
+        if part:
+            assert part[-1] > 0 and math.gcd(*part) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_lists, integer_lists, integer_lists)
+    def test_primitive_gcd_is_primitive(self, g, u, v):
+        got = primitive_gcd(mul(g, u), mul(g, v))
+        if got:
+            assert got[-1] > 0 and math.gcd(*got) == 1
+
+
+class TestExactQuotient:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_lists, integer_lists)
+    def test_product_divided_by_a_factor(self, p, q):
+        while q and not q[-1]:
+            q.pop()
+        while p and not p[-1]:
+            p.pop()
+        if q:
+            assert exact_quotient(mul(p, q), q) == p
+
+    def test_remainder_raises(self):
+        with pytest.raises(InexactDivision):
+            exact_quotient([1, 0, 1], [1, 1])  # x^2 + 1 by x + 1
+
+    def test_leading_coefficient_not_divisible_raises(self):
+        with pytest.raises(InexactDivision):
+            exact_quotient([1, 3], [1, 2])  # 3x + 1 by 2x + 1
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(InexactDivision):
+            exact_quotient([1, 1], [0])
