@@ -394,6 +394,7 @@ class TestDiagonalDegreeBound:
         assert_matches_bareiss(rows)
 
     def test_tight_diagonal_bound(self):
+        # the condition holds, and the diagonal sum 6 is below the row bound 7
         s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
         rows = [[one, s, one], [s, s * t + one, t**2], [one, t**2, t**4 + s]]
         assert_matches_bareiss(rows)
