@@ -19,7 +19,6 @@ from .collapse import (
     check_product_form,
     collapse_order,
     moment_factorization_check,
-    solve_univariate,
 )
 from .dsl import parse_density_spec, parse_expression, render_spec
 from .equations import EquationSystem, ZiiMask, compute_mask, zii_equations
@@ -120,7 +119,6 @@ __all__ = [
     "parse_expression",
     "product_exponential",
     "render_spec",
-    "solve_univariate",
     "sum_power_exp",
     "zii_equations",
 ]

@@ -53,7 +53,7 @@ from .equations import EquationSystem, zii_equations
 from .errors import ArgumentOutOfRange, ConstraintViolation
 from .measures import DensityFamily, ParamDecl, UnitDisk
 from .poly import Poly
-from .roots import RealRoots, rational_roots, real_roots, uni_gcd
+from .roots import rational_roots, real_roots, uni_gcd
 from .symbols import Assumption, PI_NAME
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "SolutionAnalysis",
     "DegreeReport",
     "CollapseReport",
-    "solve_univariate",
     "analyze_system",
     "check_product_form",
     "moment_factorization_check",
@@ -271,18 +270,6 @@ class _Admission:
         if not self.binds:
             return []
         return [f"witness admission stopped after {ADMISSION_BUDGET} attempts"]
-
-
-# -- univariate --------------------------------------------------------------
-
-
-def solve_univariate(poly: Poly) -> RealRoots:
-    """Exact real roots of a polynomial in exactly one symbol."""
-    names = poly.free_symbols()
-    if not names:
-        raise ValueError("constant polynomial; nothing to solve")
-    # as_univariate raises NotUnivariate when more symbols are present
-    return real_roots(poly.as_univariate(names[0]))
 
 
 # -- the analysis pipeline -----------------------------------------------------
@@ -591,44 +578,25 @@ def _sampled_analysis(
 # -- product form ---------------------------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(row + 1, len(work)):
-            if work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [a - f * b for a, b in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
-
-
 def check_product_form(family: DensityFamily, point: Mapping[str, Fraction]) -> ProductVerdict:
     """Does the density at this admissible point factor as g(x) h(y)?
 
-    Exact rank test on the coefficient grid; rank <= 1 over a product
-    base measure means the density separates.  The disk support is not a
-    product set, so disk families get their own verdict unconditionally.
+    Exact rank test on the coefficient grid: rank <= 1, that is every 2x2
+    minor vanishes, over a product base measure means the density
+    separates.  The disk support is not a product set, so disk families
+    get their own verdict unconditionally.
     """
     values = family.check_point(point)
     if isinstance(family.base, UnitDisk):
         return ProductVerdict.DOMAIN_NOT_PRODUCT
     grid = family.coefficient_grid(values)
-    return (
-        ProductVerdict.PRODUCT_FORM
-        if _rank(grid) <= 1
-        else ProductVerdict.NOT_PRODUCT_FORM
+    cols = list(itertools.combinations(range(len(grid[0])), 2))
+    rank_one = all(
+        a[i] * b[j] == a[j] * b[i]
+        for a, b in itertools.combinations(grid, 2)
+        for i, j in cols
     )
+    return ProductVerdict.PRODUCT_FORM if rank_one else ProductVerdict.NOT_PRODUCT_FORM
 
 
 @dataclass(frozen=True)

@@ -416,16 +416,10 @@ def _is_symmetric(rows: Rows) -> bool:
 
 
 def _self_check_point(table: SymbolTable, det: Poly) -> dict[str, Fraction] | None:
-    # fixed small odd primes, shifted until the determinant is nonzero there
-    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-    names = table.names
-    if len(names) > len(primes):
-        return None
+    # symbol i at (2i + 3)/2, distinct for any width, shifted until the
+    # determinant is nonzero there
     for shift in range(5):
-        point = {
-            name: Fraction(primes[(i + shift) % len(primes)], 2)
-            for i, name in enumerate(names)
-        }
+        point = {name: Fraction(2 * (i + shift) + 3, 2) for i, name in enumerate(table.names)}
         if det.evaluate(point) != 0:
             return point
     return None
@@ -467,8 +461,11 @@ def _verify_adjugate(rows: Rows, inverse: ExactInverse, point: dict[str, Fractio
     and 0 off it.
     """
     n = len(rows)
-    m_num = [[e.evaluate(point) for e in row] for row in rows]
-    a_num = [[e.evaluate(point) for e in row] for row in inverse.adjugate]
+    # symmetric adjugates and repeated moments share entries: evaluate each once
+    distinct = {e for row in (*rows, *inverse.adjugate) for e in row}
+    value = {e: e.evaluate(point) for e in distinct}
+    m_num = [[value[e] for e in row] for row in rows]
+    a_num = [[value[e] for e in row] for row in inverse.adjugate]
     det = inverse.determinant.evaluate(point)
     r = [math.lcm(*(v.denominator for v in row)) for row in m_num]
     m_int = [[v.numerator * (s // v.denominator) for v in row] for s, row in zip(r, m_num)]

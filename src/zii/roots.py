@@ -1,19 +1,20 @@
 """Exact univariate root finding over the rationals.
 
-Polynomials here are plain ascending coefficient lists of Fractions.
-The gcd runs over the integers: Euclid on primitive parts, where each
-pseudo-remainder is divided by its content and the result is made monic
-only at the end, so no Fraction arithmetic grows inside the loop
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6); an exact
-quotient of primitive parts is an integer long division.
-Rational roots are found exactly by the divisor test (numerator divides
-the trailing coefficient, denominator divides the leading one, after
-clearing denominators and powers of x), with integer factorization done
-by trial division plus deterministic Brent-Pollard rho.  Remaining real
-roots are certified irrational by deflation and located by Sturm-chain
-bisection down to width 1e-12; sampling-free sign variation counts make
-the root counts in each interval exact, so nothing is ever reported as a
-root that is not one.
+Polynomials come in as ascending coefficient lists of Fractions; every
+computation on them runs over the integers on primitive parts, and
+Fractions remain only for input coefficients, roots and interval ends.
+The gcd is Euclid on primitive parts, each pseudo-remainder divided by
+its content (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6);
+exact integer long division gives the square-free part p / gcd(p, p')
+and deflates a rational root n/d by d*x - n.  Rational roots are found
+exactly by the divisor test (numerator divides the trailing coefficient,
+denominator the leading one, after removing powers of x), with integer
+factorization by trial division plus deterministic Brent-Pollard rho.
+Remaining real roots are certified irrational by deflation and located
+by bisection down to width 1e-12 on a Sturm chain over Z whose members
+are positive multiples of the rational ones, so the root counts in each
+interval are exact and nothing is ever reported as a root that is not
+one.
 """
 
 from __future__ import annotations
@@ -62,25 +63,6 @@ def uni_derivative(coeffs: list[Fraction]) -> list[Fraction]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    den = _trim(den)
-    if not den:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    rem = _trim(num)
-    q = [_Z] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / den[-1]
-        q[shift] = factor
-        rem = _trim(
-            [r - factor * den[i - shift] if 0 <= i - shift < len(den) else r
-             for i, r in enumerate(rem)][:-1]
-        )
-        if len(rem) < len(den):
-            break
-    return q, rem
-
-
 def primitive(coeffs: list[Fraction]) -> tuple[Fraction, list[int]]:
     """(content, part) with coeffs == content * part and part primitive.
 
@@ -103,11 +85,17 @@ def _primitive_int(ints: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b; a, b trimmed, b nonzero."""
+    """A positive integer multiple of a mod b; a, b trimmed, b nonzero.
+
+    Each step scales a by |lead(b)| / g, never by a negative number, so
+    the sign of the remainder is that of the rational one.
+    """
     lead = b[-1]
+    sign = 1 if lead > 0 else -1
+    a = list(a)
     while len(a) >= len(b):
         g = math.gcd(a[-1], lead)
-        fa, fb = lead // g, a[-1] // g
+        fa, fb = abs(lead) // g, sign * a[-1] // g
         if fa != 1:
             a = [fa * c for c in a]
         shift = len(a) - len(b)
@@ -169,16 +157,19 @@ def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [Fraction(c, g[-1]) for c in g]
 
 
-def squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:
-    p = _trim(coeffs)
-    if len(p) <= 2:
-        return p
-    g = uni_gcd(p, uni_derivative(p))
-    if len(g) <= 1:
-        return p
-    q, r = _divmod(p, g)
-    assert not r, "gcd must divide its argument"
-    return q
+def squarefree_part(coeffs: list[Fraction]) -> list[int]:
+    """Primitive square-free part p / gcd(p, p') over Z; [] for the zero polynomial."""
+    p = primitive(coeffs)[1]
+    return exact_quotient(p, primitive_gcd(p, uni_derivative(p))) if p else p
+
+
+def _scaled_eval(p: list[int], n: int, d: int) -> int:
+    """d**deg(p) * p(n/d) by Horner over Z; for d > 0 it has the sign of p(n/d)."""
+    acc, dpow = p[-1], 1
+    for c in reversed(p[:-1]):
+        dpow *= d
+        acc = acc * n + c * dpow
+    return acc
 
 
 # -- integer factorization for the divisor test ---------------------------
@@ -294,10 +285,7 @@ def rational_roots(
         # linear: the one root needs no divisor enumeration
         root = Fraction(-p[0]) / p[1]
         return [root] if (lo is None or lo <= root) and (hi is None or root <= hi) else []
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p]
+    ints = primitive(p)[1]
     low = 0
     while ints[low] == 0:
         low += 1
@@ -307,7 +295,6 @@ def rational_roots(
         roots.add(_Z)
     ints = ints[low:]
     if len(ints) > 1:
-        n = len(ints) - 1
         lo_n = lo.numerator if lo is not None else None
         lo_d = lo.denominator if lo is not None else None
         hi_n = hi.numerator if hi is not None else None
@@ -322,13 +309,7 @@ def rational_roots(
                         continue
                     if hi_n is not None and sn * hi_d > hi_n * den:
                         continue
-                    # integer Horner: den^n * P(sn/den), no Fraction ops
-                    acc = ints[-1]
-                    dpow = 1
-                    for k in range(n - 1, -1, -1):
-                        dpow *= den
-                        acc = acc * sn + ints[k] * dpow
-                    if acc == 0:
+                    if _scaled_eval(ints, sn, den) == 0:
                         roots.add(Fraction(sn, den))
     return sorted(roots)
 
@@ -336,27 +317,30 @@ def rational_roots(
 # -- Sturm chains -----------------------------------------------------------
 
 
-def sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    p = _trim(coeffs)
-    chain = [p, uni_derivative(p)]
-    while len(chain[-1]) > 1:
-        _, r = _divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
+def sturm_chain(coeffs: list[Fraction]) -> list[list[int]]:
+    """Sturm chain p, p', -rem(p, p'), ... over Z.
+
+    Each member is a positive multiple, without content, of the rational
+    member, so it has the same signs and the same sign variations.
+    """
+    content, p = primitive(coeffs)
+    if content < 0:
+        p = [-c for c in p]
+    chain, r = [p], uni_derivative(p)
+    while r:
+        g = math.gcd(*r)
+        chain.append([c // g for c in r])
+        r = [-c for c in _pseudo_remainder(chain[-2], chain[-1])]
+    return chain if p else []
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = uni_eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for v in (_scaled_eval(c, n, d) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_real_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
+def count_real_roots(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] for a squarefree chain head."""
     if lo >= hi:
         return 0
@@ -364,8 +348,8 @@ def count_real_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) ->
 
 
 def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
-    lead = coeffs[-1]
-    return 1 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 else Fraction(1)
+    # Fraction(c): with integer coefficients c / lead would be a float
+    return 1 + max(abs(Fraction(c) / coeffs[-1]) for c in coeffs[:-1])
 
 
 def isolate_real_roots(
@@ -415,25 +399,11 @@ class RealRoots:
         return len(self.rational) + len(self.irrational_intervals)
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); exact by construction
-    acc = _Z
-    result = []
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        result.append(acc)
-    assert result[-1] == 0, "deflation by a non-root"
-    quotient = result[:-1]
-    quotient.reverse()
-    return quotient
-
-
 def real_roots(coeffs: list[Fraction]) -> RealRoots:
     """Complete real-root description of a nonzero univariate polynomial."""
-    sf = squarefree_part(coeffs)
-    rats = rational_roots(sf)
-    rest = sf
+    rest = squarefree_part(coeffs)
+    rats = rational_roots(rest)
     for r in rats:
-        rest = _deflate(rest, r)
+        rest = exact_quotient(rest, [-r.numerator, r.denominator])
     intervals = isolate_real_roots(rest) if len(rest) > 2 else []
     return RealRoots(tuple(rats), tuple(intervals))

@@ -13,8 +13,10 @@ oracle skips that reduction and only strips each full cofactor.  The
 grid-walk oracle samples the same grid as the library, but substitutes
 each Fraction grid value into the Poly residuals and evaluates every
 point by Horner's rule over Fractions, with no lattice and no integer
-scaling.  The univariate gcd oracle is Euclid over Fractions, where the
-library runs it over the integers on primitive parts.
+scaling.  The univariate gcd, Sturm chain and real-root oracles run over
+Fractions, where the library runs them over the integers on primitive
+parts; the real-root oracle takes its rational roots from sympy's
+factorization instead of the divisor test.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from zii.errors import SingularMatrix
 from zii.inverse import det_and_cofactors
 from zii.moments import MomentMatrix, build_matrix
 from zii.poly import Poly
-from zii.roots import rational_roots, uni_eval
+from zii.roots import RealRoots, rational_roots, uni_eval
 
 
 def rising_oracle(shape: Fraction, n: int) -> Fraction:
@@ -187,26 +189,114 @@ def cofactor(rows: list[list[Poly]], r: int, c: int) -> Poly:
     return -m if (r + c) % 2 else m
 
 
+def _trim_fraction(p: list[Fraction]) -> list[Fraction]:
+    p = [Fraction(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _divmod_fraction(
+    num: list[Fraction], den: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of Fraction long division; den nonzero."""
+    rem, den = _trim_fraction(num), _trim_fraction(den)
+    q = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        factor = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        q[shift] = factor
+        for k, c in enumerate(den):
+            rem[shift + k] -= factor * c
+        rem = _trim_fraction(rem)
+    return q, rem
+
+
 def uni_gcd_fraction(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of ascending coefficient lists by Euclid over Fractions."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
+    a, b = _trim_fraction(a), _trim_fraction(b)
     while b:
-        rem = list(a)
-        while len(rem) >= len(b):
-            factor = Fraction(rem[-1]) / b[-1]
-            shift = len(rem) - len(b)
-            for k, c in enumerate(b):
-                rem[shift + k] -= factor * c
-            rem = trim(rem)
-        a, b = b, rem
-    return [Fraction(c) / a[-1] for c in a] if a else a
+        a, b = b, _divmod_fraction(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def sturm_chain_fraction(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    """Sturm chain p, p', -rem(p, p'), ... by Fraction long division."""
+    p = _trim_fraction(coeffs)
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        r = _divmod_fraction(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return [c for c in chain if c]
+
+
+def _deflate_fraction(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+    # synthetic division by (x - root)
+    acc, out = Fraction(0), []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    remainder = out.pop()
+    assert remainder == 0, "deflation by a non-root"
+    return out[::-1]
+
+
+def real_roots_fraction(coeffs: list[Fraction], width: Fraction = Fraction(1, 10**12)) -> RealRoots:
+    """real_roots over Fractions.
+
+    The square-free part comes from Fraction Euclid and long division, the
+    rational roots from sympy's factorization, deflation from synthetic
+    division, and the intervals from bisection on a Fraction Sturm chain,
+    from the same Cauchy bound and in the same order as the library.
+    """
+    p = _trim_fraction(coeffs)
+    sf = _divmod_fraction(p, uni_gcd_fraction(p, [k * c for k, c in enumerate(p)][1:]))[0]
+    x = sympy.Symbol("x")
+    factors = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(sf)], x)
+    rats = sorted(
+        Fraction(-int(f.nth(0)), int(f.nth(1)))
+        for f, _ in factors.factor_list()[1]
+        if f.degree() == 1
+    )
+    rest = sf
+    for r in rats:
+        rest = _deflate_fraction(rest, r)
+    if len(rest) <= 2:
+        return RealRoots(tuple(rats), ())
+    chain = sturm_chain_fraction(rest)
+
+    def variations(at: Fraction) -> int:
+        signs = []
+        for c in chain:
+            v = Fraction(0)
+            for a in reversed(c):
+                v = v * at + a
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def count(lo: Fraction, hi: Fraction) -> int:
+        return variations(lo) - variations(hi) if lo < hi else 0
+
+    bound = 1 + max(abs(c / rest[-1]) for c in rest[:-1])
+    work, isolated = [(-bound, bound)], []
+    while work:
+        lo, hi = work.pop()
+        n = count(lo, hi)
+        if n == 1:
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                if count(lo, mid) == 1:
+                    hi = mid
+                else:
+                    lo = mid
+            isolated.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            work += [(lo, mid), (mid, hi)]
+    return RealRoots(tuple(rats), tuple(sorted(isolated)))
 
 
 def sympy_reduce_oracle(raw: Poly, det: Poly) -> Poly:

@@ -179,6 +179,12 @@ class TestWitnessVerdicts:
         bad = {"a00": 1, "a01": 1, "a10": 1, "a11": 2}
         assert check_product_form(fam, ok) is ProductVerdict.PRODUCT_FORM
         assert check_product_form(fam, bad) is ProductVerdict.NOT_PRODUCT_FORM
+        # x (3 + 6y): the grid's first row is zero and its rank is still 1
+        zero_row = {"a00": 0, "a01": 0, "a10": 3, "a11": 6}
+        assert check_product_form(fam, zero_row) is ProductVerdict.PRODUCT_FORM
+        # x + y: a zero corner and rank 2
+        anti_diagonal = {"a00": 0, "a01": 1, "a10": 1, "a11": 0}
+        assert check_product_form(fam, anti_diagonal) is ProductVerdict.NOT_PRODUCT_FORM
 
     def test_disk_is_domain_limited(self):
         fam = disk_quadratic()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zii.dsl import parse_density_spec
 from zii.errors import SingularMatrix, SymbolTableMismatch
 from zii import inverse
 from zii.inverse import (
@@ -450,3 +451,49 @@ class TestIntegerSelfCheck:
         inv = invert_exact(rows)
         assert inv.determinant.constant_value() == 1
         _verify_adjugate(rows, inv, {})
+
+    def test_each_distinct_entry_is_evaluated_once(self, monkeypatch):
+        # entries s, s + t, t and adjugate t, -(s + t), s: four distinct, plus det
+        s, t = Poly.symbol(T, "s"), Poly.symbol(T, "t")
+        shared = s + t
+        rows = [[s, shared], [shared, t]]
+        inv = invert_exact(rows)
+        evaluated = []
+        real = Poly.evaluate
+        monkeypatch.setattr(Poly, "evaluate", lambda p, at: evaluated.append(p) or real(p, at))
+        _verify_adjugate(rows, inv, self.point)
+        assert len(evaluated) == 5
+
+
+def wide_box_matrix():
+    """M_1 of a unit-box density with 16 parameters: 17 symbols with PI."""
+    terms = " + ".join(f"p{i}*x^{i // 4}*y^{i % 4}" for i in range(16))
+    params = ", ".join(f"p{i}:none" for i in range(16))
+    spec = f"family: wide\ndomain: unit-box\ndensity: {terms}\nparams: {params}\n"
+    matrix = build_matrix(parse_density_spec(spec), 1)
+    assert len(matrix.rows()[0][0].table) == 17
+    return matrix
+
+
+class TestSelfCheckOnWideTables:
+    """invert_exact runs the adjugate self-check however many symbols there are."""
+
+    def test_check_runs(self, monkeypatch):
+        calls = []
+        real = inverse._verify_adjugate
+        monkeypatch.setattr(
+            inverse, "_verify_adjugate", lambda *args: calls.append(args) or real(*args)
+        )
+        invert_exact(wide_box_matrix())
+        assert len(calls) == 1
+
+    def test_corrupted_adjugate_raises(self, monkeypatch):
+        real = inverse.det_and_cofactors
+
+        def corrupted(rows, positions):
+            det, cofactors = real(rows, positions)
+            return det, [cofactors[0] + 1, *cofactors[1:]]
+
+        monkeypatch.setattr(inverse, "det_and_cofactors", corrupted)
+        with pytest.raises(AssertionError):
+            invert_exact(wide_box_matrix())

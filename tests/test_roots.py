@@ -28,7 +28,7 @@ from zii.roots import (
     uni_gcd,
 )
 
-from oracle_defs import uni_gcd_fraction
+from oracle_defs import real_roots_fraction, sturm_chain_fraction, uni_gcd_fraction
 
 F = Fraction
 
@@ -272,3 +272,43 @@ class TestExactQuotient:
     def test_zero_divisor_raises(self):
         with pytest.raises(InexactDivision):
             exact_quotient([1, 1], [0])
+
+
+@st.composite
+def mixed_root_polys(draw):
+    """A rational multiple of prod (x - r)^m times integer quadratics.
+
+    The linear factors give rational roots, repeated when m > 1; the
+    quadratics give irrational, complex or further rational roots.
+    """
+    p = [draw(small_fracs.filter(bool))]
+    for r in draw(st.lists(small_fracs, max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            p = mul(p, [-r, F(1)])
+    quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-4, 4).filter(bool))
+    for c, b, a in draw(st.lists(quadratic, max_size=2)):
+        p = mul(p, [F(c), F(b), F(a)])
+    return p
+
+
+class TestFractionOracle:
+    """The integer Sturm, square-free and deflation path against the Fraction one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_root_polys())
+    def test_real_roots_equal_the_fraction_oracle(self, coeffs):
+        got, want = real_roots(coeffs), real_roots_fraction(coeffs)
+        assert got.rational == want.rational
+        assert got.irrational_intervals == want.irrational_intervals
+        assert all(type(end) is Fraction for iv in got.irrational_intervals for end in iv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_root_polys() | st.lists(small_fracs, min_size=2, max_size=7).filter(any))
+    def test_sturm_members_are_positive_multiples(self, coeffs):
+        chain, want = sturm_chain(coeffs), sturm_chain_fraction(coeffs)
+        assert len(chain) == len(want)
+        for member, rational in zip(chain, want):
+            assert len(member) == len(rational)
+            assert all(type(c) is int for c in member) and math.gcd(*member) == 1
+            ratio = F(member[-1]) / rational[-1]
+            assert ratio > 0 and all(m == ratio * r for m, r in zip(member, rational))
