@@ -27,10 +27,25 @@ That gcd is found in three steps, each exact:
 
 The determinant side of these steps is prepared once per block and
 serves every cofactor in it.  The built-in families never reach step 3.
-The numerator is then
-stripped of rational content, monomials in positive symbols, and an
-overall sign.  Identical stripped equations from different mask
-positions are merged, keeping every originating position as provenance.
+
+M_d is linear in the density's coefficients, so when the nonconstant
+ones are affine forms c_k with independent linear parts, no PI, and
+fewer than the parameters they mention (disk-quadratic: v, a, b + c and
+d in five parameters), the cofactors and their gcds are taken on the
+matrix of the same family with c_k = r_k * t_k, one symbol t_k per
+coefficient and r_k rational (see measures.coefficient_coordinates).
+Completing the forms to a basis of the linear forms extends
+t_k -> c_k / r_k to an invertible affine change of variables, a ring
+automorphism: it commutes with determinants and cofactors and maps a gcd
+to a gcd up to a unit, and the extra variables change no gcd.  So each
+distinct reduced numerator, expanded back by t_k = c_k / r_k, is the one
+the parameters give up to a rational unit.  Every other input runs in
+its own parameters.
+
+The numerator is then stripped, in the parameters, of rational content,
+monomials in positive symbols, and an overall sign.  Identical stripped
+equations from different mask positions are merged, keeping every
+originating position as provenance.
 """
 
 from __future__ import annotations
@@ -40,8 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .inverse import BlockCofactors, block_cofactors
-from .measures import DensityFamily
+from .inverse import BlockCofactors, _mul, _scaled, block_cofactors
+from .measures import coefficient_coordinates
 from .moments import MomentMatrix, MonomialBasis, build_basis, build_matrix
 from .poly import Exponents, Poly
 from .roots import exact_quotient, primitive, primitive_gcd
@@ -347,17 +362,59 @@ def _share_storage(p: Poly, shared: dict) -> Poly:
     )
 
 
+def _substitute(numerators: list[Poly], values: tuple[Poly, ...]) -> list[Poly]:
+    """Each numerator with symbol s replaced by values[s], up to a positive rational.
+
+    An integer multinomial expansion into one dict per numerator: the
+    numerator is scaled to integer coefficients, the values have integer
+    ones already, and the image of each monomial (the powers of each value
+    among them) is made once, from the image of a monomial of one degree
+    less.  Equal numerators are expanded once.
+    """
+    forms = [_scaled(v) for v in values]
+    images = {(0,) * len(values): ({(0,) * len(values[0].table): 1}, 1)}
+
+    def image(exps: Exponents) -> dict[Exponents, int]:
+        chain = []
+        while exps not in images:
+            s = next(s for s, k in enumerate(exps) if k)
+            chain.append((exps, s))
+            exps = exps[:s] + (exps[s] - 1,) + exps[s + 1:]
+        for key, s in reversed(chain):
+            images[key] = _mul(images[exps], forms[s])
+            exps = key
+        return images[exps][0]
+
+    done: dict[Poly, Poly] = {}
+    for p in numerators:
+        if p not in done:
+            total: dict[Exponents, int] = {}
+            for exps, coeff in _scaled(p)[0].items():
+                for e, c in image(exps).items():
+                    total[e] = total.get(e, 0) + coeff * c
+            done[p] = Poly(values[0].table, total)
+    return [done[p] for p in numerators]
+
+
 def zii_equations(family_or_matrix, degree: int | None = None) -> EquationSystem:
     """Stripped vanishing equations for every mask position at one degree.
 
-    Accepts a DensityFamily plus degree, or a prebuilt MomentMatrix.
+    Accepts a DensityFamily plus degree, or a prebuilt MomentMatrix, which
+    runs on its own entries.  A family whose coefficients qualify (see the
+    module docstring) runs in coefficient coordinates and is expanded
+    back before stripping; the equations are the same either way.
     """
+    values = None
     if isinstance(family_or_matrix, MomentMatrix):
         matrix = family_or_matrix
     else:
         if degree is None:
             raise ValueError("degree required when passing a family")
-        matrix = build_matrix(family_or_matrix, degree)
+        family = family_or_matrix
+        coordinates = coefficient_coordinates(family)
+        if coordinates is not None:
+            family, values = coordinates
+        matrix = build_matrix(family, degree)
     basis = matrix.basis
     mask = compute_mask(basis)
     rows = matrix.rows()
@@ -366,6 +423,8 @@ def zii_equations(family_or_matrix, degree: int | None = None) -> EquationSystem
     if any(d.is_zero for d in blocks.determinants):
         raise SingularMatrix(f"moment matrix at degree {basis.degree} is identically singular")
     numerators = _reduce_in_blocks(blocks)
+    if values is not None:
+        numerators = _substitute(numerators, values)
     stripped = [p.strip_known_nonzero_factors() for p in numerators]
     ordered: list[Poly] = []
     grouped: dict[Poly, list[tuple[int, int]]] = {}

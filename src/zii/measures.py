@@ -45,6 +45,7 @@ __all__ = [
     "ParamDecl",
     "Constraint",
     "DensityFamily",
+    "coefficient_coordinates",
     "base_monomial_moment",
     "product_exponential",
     "sum_power_exp",
@@ -302,6 +303,67 @@ class DensityFamily:
                     f"constraint {constraint} fails: left side evaluates to {val}"
                 )
         return values
+
+
+def _independent(rows: list[list[Fraction]]) -> bool:
+    """True when the rational vectors are linearly independent (Gaussian elimination)."""
+    while rows:
+        row, *rows = rows
+        col = next((k for k, v in enumerate(row) if v), None)
+        if col is None:
+            return False
+        rows = [[v - r[col] / row[col] * w for v, w in zip(r, row)] for r in rows]
+    return True
+
+
+def coefficient_coordinates(
+    family: DensityFamily,
+) -> tuple[DensityFamily, tuple[Poly, ...]] | None:
+    """The family in one symbol t_k per nonconstant coefficient, or None.
+
+    M_d is linear in the coefficients, so it depends on the parameters only
+    through them.  When the nonconstant coefficients are affine forms with
+    linearly independent linear parts, mention no PI, and are fewer than the
+    parameters they mention, writing each as r_k * t_k (r_k its rational
+    content, so that t_k = c_k / r_k has coprime integer coefficients)
+    leaves fewer symbols.  Returns that family and, in the order of its
+    table's names, the value of each symbol over `family.table`: t_k's
+    integer form, and PI itself.  Symbolic gamma shapes and the named
+    family do not qualify.
+    """
+    base = family.base
+    if family.kind != "polynomial" or (
+        isinstance(base, OrthantGamma)
+        and (isinstance(base.shape_x, str) or isinstance(base.shape_y, str))
+    ):
+        return None
+    forms = [c for _, c in family.coeffs if c.free_symbols()]
+    mentioned = sorted({n for c in forms for n in c.free_symbols()})
+    if (
+        len(forms) >= len(mentioned)
+        or PI_NAME in mentioned
+        or any(c.total_degree() > 1 for c in forms)
+    ):
+        return None
+    width = len(family.table)
+    unit = [tuple(int(j == family.table.index(n)) for j in range(width)) for n in mentioned]
+    if not _independent([[c.terms.get(e, Fraction(0)) for e in unit] for c in forms]):
+        return None
+    names = [f"t{k}" for k in range(len(forms))]
+    table = SymbolTable.build(names)
+    values = {PI_NAME: Poly.symbol(family.table, PI_NAME)}
+    fresh = iter(names)
+    coeffs = []
+    for key, c in family.coeffs:
+        if c.free_symbols():
+            name = next(fresh)
+            content = c.content()
+            values[name] = c * (1 / content)
+            coeffs.append((key, Poly.symbol(table, name) * content))
+        else:
+            coeffs.append((key, Poly.const(table, c.constant_value())))
+    coordinates = replace(family, table=table, coeffs=tuple(coeffs), params=(), constraints=())
+    return coordinates, tuple(values[n] for n in table.names)
 
 
 # -- built-in families ---------------------------------------------------------

@@ -8,18 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zii import equations
+from zii import equations, inverse
 from zii.equations import (
     compute_mask,
     mask_predicate,
     reduce_by_determinant,
     zii_equations,
 )
+from zii.dsl import parse_density_spec
 from zii.errors import SingularMatrix
 from zii.inverse import block_cofactors, det_and_cofactors
 from zii.measures import (
     BUILTIN_FAMILIES,
+    DensityFamily,
+    UnitBox,
+    UnitDisk,
     bilinear_box,
+    coefficient_coordinates,
     disk_quadratic,
     product_exponential,
     sum_power_exp,
@@ -168,11 +173,14 @@ class TestEquationExtraction:
                     scaled = zii_equations(fam.scaled(c), d)
                     assert scaled.texts() == base.texts()
 
-    def test_matrix_input_equals_family_input(self):
-        fam = sum_power_exp()
-        via_family = zii_equations(fam, 1)
-        via_matrix = zii_equations(build_matrix(fam, 1))
+    @pytest.mark.parametrize("ctor,d", [(sum_power_exp, 1), (disk_quadratic, 2)])
+    def test_matrix_input_equals_family_input(self, ctor, d):
+        # a matrix runs on its own entries; an eligible family in coefficient coordinates
+        fam = ctor()
+        via_family = zii_equations(fam, d)
+        via_matrix = zii_equations(build_matrix(fam, d))
         assert via_family.texts() == via_matrix.texts()
+        assert [e.pairs for e in via_family.entries] == [e.pairs for e in via_matrix.entries]
 
 
 DIFFERENTIAL_CASES = [(name, d) for name in sorted(BUILTIN_FAMILIES) for d in (1, 2)] + [
@@ -398,3 +406,149 @@ class TestOneSymbolReduction:
         prepared = equations._Determinant(det)
         for raw in (X + 1, A * (X - 2) * (X + 3), B * X, A * B + X, Poly.zero(U)):
             assert prepared.reduce(raw) == sympy_reduce_oracle(raw, det)
+
+
+def spec_family(domain: str, density: str, params: str):
+    return parse_density_spec(
+        f"family: f\ndomain: {domain}\ndensity: {density}\nparams: {params}\n"
+    )
+
+
+def theta_equations(family, degree: int):
+    """zii_equations in the family's own parameters: the coefficient check says no."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equations, "coefficient_coordinates", lambda family: None)
+        return zii_equations(family, degree)
+
+
+def summary(system) -> list:
+    return [(e.poly.to_text(), e.pairs) for e in system.entries]
+
+
+def spy_tables(monkeypatch) -> list:
+    tables = []
+    real = equations.block_cofactors
+
+    def spy(rows, positions=()):
+        tables.append(rows[0][0].table)
+        return real(rows, positions)
+
+    monkeypatch.setattr(equations, "block_cofactors", spy)
+    return tables
+
+
+ELIGIBLE_SPECS = [
+    ("unit-disk", "v + (a+b)*x^2 + (a-c)*y^2", "a:none, b:none, c:none, v:positive:1..1"),
+    ("unit-box", "1 + (c-a-b+1)*x + (a+b+c)*x*y", "a:none, b:none, c:none"),
+]
+
+INELIGIBLE_SPECS = [
+    ("unit-box", "1 + a*b*x", "a:none, b:none"),
+    ("unit-box", "1 + (a+b)*x + (2*a+2*b)*y", "a:none, b:none"),
+    ("unit-disk", "1 + (a+b+c)*x^2 + (2*a+2*b+2*c)*y^2", "a:none, b:none, c:none"),
+    ("unit-box", "1 + (a+PI)*x + b*y + c*x*y", "a:none, b:none, c:none"),
+]
+
+AFFINE_SYMBOLS = ("p", "q", "r", "s")
+
+
+@st.composite
+def affine_families(draw):
+    """2-3 rational affine coefficients over 3-4 symbols on the box or the disk."""
+    names = AFFINE_SYMBOLS[: draw(st.integers(3, 4))]
+    table = SymbolTable.build(names)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def form():
+        p = Poly.const(table, draw(rational))
+        for n in names:
+            p = p + Poly.symbol(table, n) * draw(rational)
+        return p
+
+    keys = draw(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+                         min_size=2, max_size=3, unique=True))
+    coeffs = {key: form() for key in keys}
+    coeffs.setdefault((0, 0), Poly.const(table, 1))
+    base = draw(st.sampled_from([UnitBox(), UnitDisk()]))
+    family = DensityFamily("affine", table, base, coeffs=tuple(sorted(coeffs.items())))
+    return family, draw(st.integers(1, 2))
+
+
+def outcome(equations_of, family, degree):
+    try:
+        return summary(equations_of(family, degree))
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+class TestCoefficientCoordinates:
+    """One symbol per affine coefficient: equal equations, and only where it applies."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_disk_equals_parameter_coordinates(self, d):
+        family = disk_quadratic()
+        assert coefficient_coordinates(family) is not None
+        assert summary(zii_equations(family, d)) == summary(theta_equations(family, d))
+
+    def test_disk_spec_equals_parameter_coordinates(self, spec_dir):
+        family = parse_density_spec((spec_dir / "disk-quadratic.zii").read_text())
+        assert summary(zii_equations(family, 3)) == summary(theta_equations(family, 3))
+
+    @pytest.mark.parametrize("domain,density,params", ELIGIBLE_SPECS)
+    def test_eligible_specs_equal_parameter_coordinates(self, monkeypatch, domain, density, params):
+        family = spec_family(domain, density, params)
+        tables = spy_tables(monkeypatch)
+        for d in (1, 2, 3):
+            got = zii_equations(family, d)
+            assert tables.pop() != family.table
+            # back in the parameters, so no text can name a t_k
+            assert {p.table for p in got.polys()} == {family.table}
+            assert summary(got) == summary(theta_equations(family, d))
+
+    @pytest.mark.parametrize("domain,density,params", INELIGIBLE_SPECS)
+    def test_ineligible_specs_run_in_their_own_table(self, monkeypatch, domain, density, params):
+        family = spec_family(domain, density, params)
+        assert coefficient_coordinates(family) is None
+        tables = spy_tables(monkeypatch)
+        zii_equations(family, 2)
+        assert tables == [family.table]
+
+    @pytest.mark.parametrize("name", sorted(set(BUILTIN_FAMILIES) - {"disk-quadratic"}))
+    def test_other_builtins_run_in_their_own_table(self, monkeypatch, name):
+        family = BUILTIN_FAMILIES[name]()
+        assert coefficient_coordinates(family) is None
+        tables = spy_tables(monkeypatch)
+        zii_equations(family, 1)
+        assert tables == [family.table]
+
+    def test_each_symbol_stands_for_a_primitive_integer_form(self):
+        family = spec_family("unit-box", "1 - (2*a + 4*b)*x - 1/3*c*y", "a:none, b:none, c:none")
+        coordinates, values = coefficient_coordinates(family)
+        assert coordinates.table.names == ("PI", "t0", "t1")
+        assert [str(c) for _, c in coordinates.coeffs] == ["1", "1/3*t0", "2*t1"]
+        assert [str(v) for v in values] == ["PI", "-c", "-a - 2*b"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(affine_families())
+    def test_random_affine_coefficients_equal_parameter_coordinates(self, case):
+        family, d = case
+        assert outcome(zii_equations, family, d) == outcome(theta_equations, family, d)
+
+    def test_disk_degree_three_interpolates_in_three_symbols(self, monkeypatch):
+        # in the parameters: 4 symbols, 70 + 210 = 280 nodes
+        calls, depth = [], [0]
+        real = inverse._simplex
+
+        def spy(k, bound):
+            depth[0] += 1
+            try:
+                grid = real(k, bound)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                calls.append((k, len(grid)))
+            return grid
+
+        monkeypatch.setattr(inverse, "_simplex", spy)
+        zii_equations(disk_quadratic(), 3)
+        assert calls == [(3, 35), (3, 84)]

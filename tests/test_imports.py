@@ -63,6 +63,7 @@ def test_equations_of_builtins_leave_sympy_out():
         "for name, family in sorted(BUILTIN_FAMILIES.items()):\n"
         "    for d in (1, 2, 3):\n"
         "        zii_equations(family(), d)\n"
+        "zii_equations(BUILTIN_FAMILIES['disk-quadratic'](), 4)\n"
         "print('sympy' in sys.modules)\n"
     )
     result = run_python(code)
