@@ -16,23 +16,36 @@ determinant is homogeneous of degree m*e and every cofactor of degree
 (m-1)*e.  Entries are scaled by the common denominator of their
 coefficients, so the block takes integer values at integer points.
 
+When one symbol is left, each row r is divided by its content g_r, the
+primitive integer gcd of its entries, giving B = G B' with G = diag(g_r).
+The engine runs on B' and multiplies back at the end:
+det B = prod_r g_r det B' and adj(B)[i][j] = adj(B')[i][j] prod_{r != j} g_r.
+On sum-power-exp row r carries (ell+2)...(ell+|r|+1), so this removes
+most of the degree.
+
 The determinant has total degree at most D, the sum over the rows of the
-largest total degree in the row, and no cofactor exceeds it.  When every
-nonzero entry has 2 deg(i,j) <= deg(i,i) + deg(j,j), D is also at most
-the sum of the diagonal degrees: each entry's degree is at most the mean
-of its two diagonal degrees, and over a permutation, or over the rows
-and columns left in a minor, those means add up to at most that sum.  A
-zero diagonal entry counts as degree 0, which the argument allows.  The
-smaller bound is used; on sum-power-exp at d=3 it is 40 against the row
-bound's 50.  The block is evaluated at the integer points x >= 1 with
-sum(x_i - 1) <= D, a simplex grid that determines any polynomial of
-total degree D.  At each point one fraction-free Gauss-Jordan pass gives
-the determinant and the whole adjugate exactly; where the block is
-singular the requested entries come from exact minors instead.  Nodes never move and nothing is random, so a
-run is reproducible.  The determinant and only the requested cofactors are
-then recovered by multivariate Newton interpolation.  On unit-spaced nodes
-the divided differences are forward differences over factorials, taken one
-symbol at a time; that is exact on the simplex because it is a lower set.
+largest total degree in the row, and no cofactor exceeds it; nor does
+either exceed the same sum over the columns.  When every nonzero entry
+has 2 deg(i,j) <= deg(i,i) + deg(j,j), D is also at most the sum of the
+diagonal degrees: each entry's degree is at most the mean of its two
+diagonal degrees, and over a permutation, or over the rows and columns
+left in a minor, those means add up to at most that sum.  A zero
+diagonal entry counts as degree 0, which the argument allows.  The
+smallest of the three bounds is used; on sum-power-exp at d=3 it is the
+divided block's column bound, 20, against a row bound of 30.  The block
+is evaluated at the integer points x >= 1 with sum(x_i - 1) <= D, a
+simplex grid that determines any polynomial of total degree D.  At each
+point fraction-free forward elimination on [A | e_j], for the wanted
+adjugate columns j only, gives the determinant, and fraction-free back
+substitution the columns, all exactly.  On a symmetric block adj is
+symmetric too, so when the wanted entries (i, j) touch fewer rows than
+columns they are read as (j, i).  Where the block is singular the
+requested entries come from exact minors instead.  Nodes never move and
+nothing is random, so a run is reproducible.  The determinant and only
+the requested cofactors are then recovered by multivariate Newton
+interpolation.  On unit-spaced nodes the divided differences are
+forward differences over factorials, taken one symbol at a time; that is
+exact on the simplex because it is a lower set.
 
 The inverse is returned exactly as (adjugate, determinant): entries of
 M^(-1) are adj[r][c] / det, with no rational normal form imposed here.
@@ -52,6 +65,7 @@ from fractions import Fraction
 
 from .errors import SingularMatrix, SymbolTableMismatch
 from .poly import Poly
+from .roots import exact_quotient, primitive_gcd
 from .symbols import SymbolTable
 
 __all__ = [
@@ -115,16 +129,17 @@ def _submatrix(rows: Rows, idx: tuple[int, ...]) -> Rows:
 # -- integer linear algebra at one node ----------------------------------------
 
 
-def _det_adj(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """det(A) and adj(A) of an integer matrix; adj is None when det(A) == 0.
+def _det_adj(a: list[list[int]], columns=()) -> tuple[int, list[list[int]] | None]:
+    """det(A) and the adjugate columns adj(A) e_j, j in `columns`; None when det(A) == 0.
 
-    Fraction-free Gauss-Jordan on [A | I] (Bareiss): every entry stays an
-    integer minor, so each division by the previous pivot is exact.  At the
-    end the left half is p*I and the right half p*A^(-1), where p is det(A)
-    up to the sign of the row swaps.
+    Fraction-free forward elimination on [A | e_j ...] (Bareiss): every
+    entry stays an integer minor, so each division by the previous pivot is
+    exact, and the last pivot p is det(A) up to the sign of the row swaps.
+    The triangular system U y = p b' then has the integer solution
+    y = p A^(-1) e_j, so fraction-free back substitution divides exactly too.
     """
     m = len(a)
-    work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    work = [row + [int(i == j) for j in columns] for i, row in enumerate(a)]
     sign, prev = 1, 1
     for k in range(m):
         swap = next((i for i in range(k, m) if work[i][k]), None)
@@ -136,13 +151,18 @@ def _det_adj(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
         pivot_row = work[k]
         pivot = pivot_row[k]
         tail = pivot_row[k + 1:]
-        for i in range(m):
-            if i != k:
-                row = work[i]
-                f = row[k]
-                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        for row in work[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
-    return sign * prev, [[sign * x for x in row[m:]] for row in work]
+    adj = []
+    for c in range(m, m + len(columns)):
+        y = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = work[i]
+            y[i] = (prev * row[c] - sum(map(operator.mul, row[i + 1:m], y[i + 1:]))) // row[i]
+        adj.append([sign * v for v in y])
+    return sign * prev, adj
 
 
 def _adjugate_entry(a: list[list[int]], i: int, j: int) -> int:
@@ -240,9 +260,15 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
         ]
         for p in distinct
     ]
-    degree = [max((sum(e) for e, _ in t), default=0) for t in terms]
     slots = [[slot.get(p, 0) for p in row] for row in block]
-    bound = sum(max(degree[s] for s in row) for row in slots)
+    contents = None
+    if len(keep) == 1:
+        terms, slots, contents = _divide_row_content(terms, slots)
+    degree = [max((sum(e) for e, _ in t), default=0) for t in terms]
+    bound = min(
+        sum(max(degree[s] for s in row) for row in slots),
+        sum(max(degree[s] for s in column) for column in zip(*slots)),
+    )
     # the diagonal degree bound of the module docstring, where its condition holds
     diagonal = [degree[row[i]] for i, row in enumerate(slots)]
     if all(
@@ -252,6 +278,12 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
         if s
     ):
         bound = min(bound, sum(diagonal))
+
+    # adj(B) is symmetric with B: solve for the smaller side of the wanted pairs
+    if len({i for i, _ in wanted}) < len({j for _, j in wanted}) and _is_symmetric(block):
+        wanted = [(j, i) for i, j in wanted]
+    columns = list(dict.fromkeys(j for _, j in wanted))
+    column_of = {j: k for k, j in enumerate(columns)}
 
     grid = _simplex(len(keep), bound)
     powers = [[(a + 1) ** e for e in range(max(degree) + 1)] for a in range(bound + 1)]
@@ -267,18 +299,24 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
                 total += c
             values.append(total)
         a = [[values[s] for s in row] for row in slots]
-        det, adj = _det_adj(a)
+        det, adj = _det_adj(a, columns)
         det_values.append(det)
         for series, (i, j) in zip(adj_values, wanted):
-            series.append(adj[i][j] if adj is not None else _adjugate_entry(a, i, j))
+            series.append(adj[column_of[j]][i] if adj is not None else _adjugate_entry(a, i, j))
 
     fibers = _fibers(grid, bound)
     scale = math.factorial(bound) ** len(keep)
 
-    def scaled(values: list[int], order: int) -> Scaled:
-        # order = m for the determinant, m - 1 for a cofactor
+    def scaled(values: list[int], order: int, factor: list[int] | None) -> Scaled:
+        # order = m for the determinant, m - 1 for a cofactor; `factor` is the
+        # product of the row contents the block was divided by
+        coeffs = _interpolate(values, fibers, bound)
+        points = grid
+        if factor is not None:
+            coeffs = _uni_mul(coeffs, factor)
+            points = [(k,) for k in range(len(coeffs))]
         out = {}
-        for point, coeff in zip(grid, _interpolate(values, fibers, bound)):
+        for point, coeff in zip(points, coeffs):
             if coeff:
                 e = [c * order for c in common]
                 for s, k in zip(keep, point):
@@ -290,7 +328,60 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
         g = math.gcd(divisor, *out.values())
         return {e: c // g for e, c in out.items()}, divisor // g
 
-    return scaled(det_values, m), [scaled(series, m - 1) for series in adj_values]
+    if contents is None:
+        return scaled(det_values, m, None), [scaled(v, m - 1, None) for v in adj_values]
+    # det(B) = prod_r g_r det(B') and adj(B)[i][j] = adj(B')[i][j] prod_{r != j} g_r
+    product = [1]
+    for g in contents:
+        product = _uni_mul(product, g)
+    others = {j: exact_quotient(product, contents[j]) for j in columns}
+    return scaled(det_values, m, product), [
+        scaled(v, m - 1, others[j]) for v, (_, j) in zip(adj_values, wanted)
+    ]
+
+
+def _uni_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divide_row_content(terms: list, slots: list[list[int]]) -> tuple[list, list[list[int]], list]:
+    """One-symbol entries with each row divided by its content, and the contents.
+
+    Row r's content g_r is the primitive integer gcd of its entries, [1]
+    for a zero row.  Returns new (terms, slots) in the same form, slot 0
+    still the zero polynomial, and every g_r as ascending integers.
+    """
+    dense = []
+    for t in terms:
+        p = [0] * (max((e for (e,), _ in t), default=-1) + 1)
+        for (e,), c in t:
+            p[e] = c
+        dense.append(p)
+    index: dict[tuple[int, ...], int] = {(): 0}
+    divided: list = [[]]
+    contents, new_slots = [], []
+    for row in slots:
+        g: list[int] = []
+        for s in dict.fromkeys(row):
+            g = primitive_gcd(g, dense[s])
+            if len(g) == 1:
+                break
+        g = g or [1]
+        contents.append(g)
+        new_row = []
+        for s in row:
+            q = tuple(exact_quotient(dense[s], g) if len(g) > 1 else dense[s])
+            if q not in index:
+                index[q] = len(divided)
+                divided.append([((k,), c) for k, c in enumerate(q) if c])
+            new_row.append(index[q])
+        new_slots.append(new_row)
+    return divided, new_slots, contents
 
 
 def _mul(p: Scaled, q: Scaled) -> Scaled:

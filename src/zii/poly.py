@@ -293,12 +293,18 @@ class Poly:
         ]
         # a common monomial shift keeps the grlex order, so the leading
         # coefficient's sign can be folded into the content beforehand
-        scale = self.content()
-        if self.leading()[1] < 0:
-            scale = -scale
+        sign = -1 if self.leading()[1] < 0 else 1
         terms = self.terms.items()
+        if all(c.denominator == 1 for _, c in terms):
+            # integer coefficients: their gcd is the content, divided out in Z
+            g = sign * math.gcd(*(c.numerator for _, c in terms))
+            coeffs = [Fraction(c.numerator // g) for _, c in terms]
+        else:
+            scale = sign * self.content()
+            coeffs = [c / scale for _, c in terms]
         return Poly(
-            self.table, {tuple(e[i] - shift[i] for i in range(width)): c / scale for e, c in terms}
+            self.table,
+            {tuple(e[i] - shift[i] for i in range(width)): c for (e, _), c in zip(terms, coeffs)},
         )
 
     # -- univariate view ---------------------------------------------------

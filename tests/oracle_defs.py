@@ -5,7 +5,10 @@ sympy's own primitives, deliberately not reusing the package's code, so
 that agreement between the two is evidence rather than tautology.  The
 polynomial determinant oracles use the package's Poly arithmetic, but an
 elimination the engine does not share: one Bareiss pass, or a cofactor
-expansion, per determinant and per minor.  The equations oracle composes
+expansion, per determinant and per minor.  The integer node oracle is
+fraction-free Gauss-Jordan on [A | I], which yields the whole adjugate at
+once, where the engine solves for the wanted columns by forward
+elimination and back substitution.  The equations oracle composes
 the package's own layers, but the other way round from the library: it
 multiplies the blocks out and reduces each full cofactor against the full
 determinant, by a sympy gcd of the whole polynomials.  The raw-equations
@@ -121,6 +124,36 @@ def det_oracle(rows: list[list[Fraction]]) -> Fraction:
         sub = det_oracle(minor)
         total += (-1) ** c * rows[0][c] * sub
     return total
+
+
+def det_adj_gauss_jordan(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """det(A) and the whole adj(A) of an integer matrix; adj is None when det(A) == 0.
+
+    Fraction-free Gauss-Jordan on [A | I] (Bareiss): every entry stays an
+    integer minor, so each division by the previous pivot is exact.  At the
+    end the left half is p*I and the right half p*A^(-1), where p is det(A)
+    up to the sign of the row swaps.
+    """
+    m = len(a)
+    work = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(m):
+        swap = next((i for i in range(k, m) if work[i][k]), None)
+        if swap is None:
+            return 0, None
+        if swap != k:
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for i in range(m):
+            if i != k:
+                row = work[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[m:]] for row in work]
 
 
 def det_bareiss(rows: list[list[Poly]]) -> Poly:

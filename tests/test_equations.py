@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -552,3 +553,28 @@ class TestCoefficientCoordinates:
         monkeypatch.setattr(inverse, "_simplex", spy)
         zii_equations(disk_quadratic(), 3)
         assert calls == [(3, 35), (3, 84)]
+
+
+def equations_digest(system) -> str:
+    """sha256 over each equation's canonical text and its mask positions."""
+    h = hashlib.sha256()
+    for entry in system.entries:
+        h.update(f"{entry.poly.to_text()} {entry.pairs}\n".encode())
+    return h.hexdigest()
+
+
+class TestEquationPins:
+    """Equations above the goldens' degrees, pinned by digests recorded before
+    the engine divided out row contents and solved only the wanted columns."""
+
+    @pytest.mark.parametrize(
+        "family, degree, digest",
+        [
+            ("sum-power-exp", 5, "d237565ecea758452dd69fc74bae7869c7f862fe3467dbd20948d0d8a5ef4f67"),
+            ("disk-quadratic", 5, "a258ff554fe120169a0983126bf52c16b25be9a504c57cee78772c10ae27dad8"),
+            ("bilinear-box", 4, "282ab02768dfb8e91ef1cb4633fb3f57f2aefedaad4d160a298673d938fed767"),
+        ],
+    )
+    def test_digest(self, family, degree, digest):
+        assert equations_digest(zii_equations(BUILTIN_FAMILIES[family](), degree)) == digest
+

@@ -27,7 +27,14 @@ from zii.moments import build_matrix
 from zii.poly import Poly
 from zii.symbols import SymbolTable
 
-from oracle_defs import cofactor, det_bareiss, det_cofactor, det_oracle, minor_det
+from oracle_defs import (
+    cofactor,
+    det_adj_gauss_jordan,
+    det_bareiss,
+    det_cofactor,
+    det_oracle,
+    minor_det,
+)
 
 T = SymbolTable.build(["s", "t"])
 
@@ -411,8 +418,25 @@ class TestDiagonalDegreeBound:
         monkeypatch.setattr(inverse, "_simplex", recorded)
         rows = build_matrix(sum_power_exp(), 3).rows()
         block_cofactors(rows)
-        # one symbol, degree 40 instead of the row bound's 50
-        assert [c for c in calls if c[0]] == [(1, 40)]
+        # one symbol; the block divided by its row contents has a column
+        # bound of 20 and a row bound of 30, and fails the diagonal condition
+        assert [c for c in calls if c[0]] == [(1, 20)]
+
+    def test_symmetric_one_symbol_block_with_trivial_row_content(self, monkeypatch):
+        # every row's content is 1, so nothing is divided; the diagonal sum 6
+        # is below the row and column bounds 7, and is the bound used
+        calls = []
+        simplex = inverse._simplex
+
+        def recorded(k, bound):
+            calls.append((k, bound))
+            return simplex(k, bound)
+
+        monkeypatch.setattr(inverse, "_simplex", recorded)
+        s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
+        rows = [[one, s, one], [s, s**2 + one, s**2], [one, s**2, s**4 + s]]
+        assert_matches_bareiss(rows, symmetric=True)
+        assert calls[0] == (1, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(graded_matrices())
@@ -497,3 +521,141 @@ class TestSelfCheckOnWideTables:
         monkeypatch.setattr(inverse, "det_and_cofactors", corrupted)
         with pytest.raises(AssertionError):
             invert_exact(wide_box_matrix())
+
+
+@st.composite
+def integer_matrices(draw, max_n=8):
+    """Integer matrices of order 1 to 8, with a subset of their columns.
+
+    Small entries and an optional repeated or scaled row make singular
+    matrices common.
+    """
+    n = draw(st.integers(1, max_n))
+    a = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[dst] = [draw(st.integers(-2, 2)) * x for x in a[src]]
+    columns = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return a, columns
+
+
+class TestKernel:
+    """_det_adj: forward elimination on [A | e_j] and back substitution, per node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_matches_gauss_jordan(self, case):
+        a, columns = case
+        det, adj = det_adj_gauss_jordan(a)
+        got_det, got = inverse._det_adj([list(row) for row in a], columns)
+        assert got_det == det
+        if adj is None:
+            assert got is None
+        else:
+            assert got == [[row[j] for row in adj] for j in columns]
+
+    def test_no_columns_gives_the_determinant(self):
+        a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        assert inverse._det_adj(a) == (det_adj_gauss_jordan(a)[0], [])
+        assert inverse._det_adj([]) == (1, [])
+
+    def _kernel_columns(self, monkeypatch):
+        calls = []
+        kernel = inverse._det_adj
+
+        def spy(a, columns=()):
+            if columns:
+                calls.append(tuple(columns))
+            return kernel(a, columns)
+
+        monkeypatch.setattr(inverse, "_det_adj", spy)
+        return calls
+
+    def test_symmetric_block_is_read_transposed(self, monkeypatch):
+        # C(r, 0) = adj(0, r): the wanted pairs touch one row and three
+        # columns, so on a symmetric block each node solves for column 0 only
+        calls = self._kernel_columns(monkeypatch)
+        s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
+        rows = [[s + one, t, one], [t, s * t, s], [one, s, t + one + one]]
+        positions = [(r, 0) for r in range(3)]
+        blocks = block_cofactors(rows, positions)
+        assert calls and set(calls) == {(0,)}
+        assert [c for _, c in blocks.cofactors] == [cofactor(rows, r, c) for r, c in positions]
+
+    def test_non_symmetric_block_is_not_transposed(self, monkeypatch):
+        calls = self._kernel_columns(monkeypatch)
+        s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
+        rows = [[s + one, t, one], [one, s * t, s], [one, s, t + one + one]]
+        positions = [(r, 0) for r in range(3)]
+        blocks = block_cofactors(rows, positions)
+        assert calls and set(calls) == {(0, 1, 2)}
+        assert [c for _, c in blocks.cofactors] == [cofactor(rows, r, c) for r, c in positions]
+
+
+class TestRowContent:
+    """One-symbol blocks are divided by their row contents and multiplied back."""
+
+    def _contents(self, monkeypatch):
+        seen = []
+        divide = inverse._divide_row_content
+
+        def spy(terms, slots):
+            out = divide(terms, slots)
+            seen.append(out[2])
+            return out
+
+        monkeypatch.setattr(inverse, "_divide_row_content", spy)
+        return seen
+
+    def test_content_vanishing_at_the_first_node(self, monkeypatch):
+        # row 0 times (s - 1), which is 0 at s = 1, the first node
+        seen = self._contents(monkeypatch)
+        s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
+        base = [[s + one + one, one, s], [one, s**2 + one, one + one], [s, one + one, s + one]]
+        rows = [[p * (s - one) for p in base[0]], base[1], base[2]]
+        assert_matches_bareiss(rows)
+        assert seen == [[[-1, 1], [1], [1]]]
+
+    def test_zero_row(self, monkeypatch):
+        s, one, zero = Poly.symbol(T, "s"), Poly.const(T, 1), Poly.zero(T)
+        rows = [[s * (s + one), s, s**2], [zero, zero, zero], [s + one, s**2, one]]
+        assert determinant(rows).is_zero
+        seen = self._contents(monkeypatch)
+        assert_matches_bareiss(rows)
+        assert seen == [[[0, 1], [1], [1]]]
+
+    def test_non_symmetric_block(self, monkeypatch):
+        seen = self._contents(monkeypatch)
+        s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
+        g = s**2 + one
+        rows = [[g * s, g * (one + one), g], [s, s**2, one], [one + one, s, g * (s + one)]]
+        assert_matches_bareiss(rows)
+        assert seen == [[[1, 0, 1], [1], [1]]]
+
+    def test_homogeneous_block_left_with_one_symbol(self, monkeypatch):
+        # degree 2 in s and t: s is set to 1 and t kept, where row 0 has
+        # the content 1 + t and row 1 the content t
+        seen = self._contents(monkeypatch)
+        s, t = Poly.symbol(T, "s"), Poly.symbol(T, "t")
+        rows = [
+            [(s + t) * s, (s + t) * t, (s + t) * (s + t + t)],
+            [t * s, t * t, t * (s + s + t)],
+            [s * s + t * t, s * t, s * s],
+        ]
+        assert_matches_bareiss(rows)
+        assert seen == [[[1, 1], [0, 1], [1]]]
+
+    def test_multivariate_block_takes_no_content(self, monkeypatch):
+        calls = []
+        gcd = inverse.primitive_gcd
+
+        def spy(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(inverse, "primitive_gcd", spy)
+        s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
+        rows = [[(s + t) * s, (s + t) * one], [t, s * t + one]]
+        assert_matches_bareiss(rows)
+        assert calls == []
+

@@ -205,6 +205,15 @@ class TestRingProperties:
         idx = ABC.index(PI_NAME)
         assert min(e[idx] for e in s.terms) == 0
 
+    @given(polys(), st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7))
+    def test_strip_ignores_a_rational_unit(self, p, c):
+        # the integer path (p scaled to integers) and the Fraction path agree
+        if c == 0:
+            return
+        scaled = p * const(ABC, math.lcm(*(v.denominator for v in p.terms.values())))
+        assert scaled.strip_known_nonzero_factors() == p.strip_known_nonzero_factors()
+        assert (p * const(ABC, c)).strip_known_nonzero_factors() == p.strip_known_nonzero_factors()
+
     @given(polys(), points)
     def test_strip_preserves_zero_sets(self, p, at):
         # stripping only removes factors that cannot vanish (at PI > 0)
