@@ -23,29 +23,24 @@ det B = prod_r g_r det B' and adj(B)[i][j] = adj(B')[i][j] prod_{r != j} g_r.
 On sum-power-exp row r carries (ell+2)...(ell+|r|+1), so this removes
 most of the degree.
 
-The determinant has total degree at most D, the sum over the rows of the
+The determinant has total degree at most the sum over the rows of the
 largest total degree in the row, and no cofactor exceeds it; nor does
-either exceed the same sum over the columns.  When every nonzero entry
-has 2 deg(i,j) <= deg(i,i) + deg(j,j), D is also at most the sum of the
-diagonal degrees: each entry's degree is at most the mean of its two
-diagonal degrees, and over a permutation, or over the rows and columns
-left in a minor, those means add up to at most that sum.  A zero
-diagonal entry counts as degree 0, which the argument allows.  The
-smallest of the three bounds is used; on sum-power-exp at d=3 it is the
-divided block's column bound, 20, against a row bound of 30.  The block
-is evaluated at the integer points x >= 1 with sum(x_i - 1) <= D, a
-simplex grid that determines any polynomial of total degree D.  At each
-point fraction-free forward elimination on [A | e_j], for the wanted
-adjugate columns j only, gives the determinant, and fraction-free back
-substitution the columns, all exactly.  On a symmetric block adj is
-symmetric too, so when the wanted entries (i, j) touch fewer rows than
-columns they are read as (j, i).  Where the block is singular the
-requested entries come from exact minors instead.  Nodes never move and
-nothing is random, so a run is reproducible.  The determinant and only
-the requested cofactors are then recovered by multivariate Newton
-interpolation.  On unit-spaced nodes the divided differences are
-forward differences over factorials, taken one symbol at a time; that is
-exact on the simplex because it is a lower set.
+either exceed the same sum over the columns.  D is the smaller of the
+two; on sum-power-exp at d=3 it is the divided block's column bound, 20,
+against a row bound of 30.  The block is evaluated at the integer points
+x >= 1 with sum(x_i - 1) <= D, a simplex grid that determines any
+polynomial of total degree D.  At each point fraction-free forward
+elimination on [A | e_j], for the wanted adjugate columns j only, gives
+the determinant, and fraction-free back substitution the columns, all
+exactly.  On a symmetric block adj is symmetric too, so when the wanted
+entries (i, j) touch fewer rows than columns they are read as (j, i).
+Where the block is singular the requested entries come from exact minors
+instead.  Nodes never move and nothing is random, so a run is
+reproducible.  The determinant and only the requested cofactors are then
+recovered by multivariate Newton interpolation.  On unit-spaced nodes
+the divided differences are forward differences over factorials, taken
+one symbol at a time; that is exact on the simplex because it is a lower
+set.
 
 The inverse is returned exactly as (adjugate, determinant): entries of
 M^(-1) are adj[r][c] / det, with no rational normal form imposed here.
@@ -269,15 +264,6 @@ def _block_adjugate(block: Rows, wanted: list[tuple[int, int]]) -> tuple[Scaled,
         sum(max(degree[s] for s in row) for row in slots),
         sum(max(degree[s] for s in column) for column in zip(*slots)),
     )
-    # the diagonal degree bound of the module docstring, where its condition holds
-    diagonal = [degree[row[i]] for i, row in enumerate(slots)]
-    if all(
-        2 * degree[s] <= diagonal[i] + diagonal[j]
-        for i, row in enumerate(slots)
-        for j, s in enumerate(row)
-        if s
-    ):
-        bound = min(bound, sum(diagonal))
 
     # adj(B) is symmetric with B: solve for the smaller side of the wanted pairs
     if len({i for i, _ in wanted}) < len({j for _, j in wanted}) and _is_symmetric(block):

@@ -292,19 +292,22 @@ class Poly:
             for i, a in enumerate(self.table.assumptions)
         ]
         # a common monomial shift keeps the grlex order, so the leading
-        # coefficient's sign can be folded into the content beforehand
-        sign = -1 if self.leading()[1] < 0 else 1
-        terms = self.terms.items()
-        if all(c.denominator == 1 for _, c in terms):
-            # integer coefficients: their gcd is the content, divided out in Z
-            g = sign * math.gcd(*(c.numerator for _, c in terms))
-            coeffs = [Fraction(c.numerator // g) for _, c in terms]
-        else:
-            scale = sign * self.content()
-            coeffs = [c / scale for _, c in terms]
+        # coefficient's sign can be folded into the content beforehand; the
+        # content num/den (the gcd of the numerators over the lcm of the
+        # denominators) divides every n/d to the integer (n/num)(den/d)
+        terms = self.terms.values()
+        num = math.gcd(*(c.numerator for c in terms))
+        if self.leading()[1] < 0:
+            num = -num
+        den = math.lcm(*(c.denominator for c in terms))
         return Poly(
             self.table,
-            {tuple(e[i] - shift[i] for i in range(width)): c for (e, _), c in zip(terms, coeffs)},
+            {
+                tuple(e[i] - shift[i] for i in range(width)): Fraction(
+                    (c.numerator // num) * (den // c.denominator)
+                )
+                for e, c in self.terms.items()
+            },
         )
 
     # -- univariate view ---------------------------------------------------

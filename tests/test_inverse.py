@@ -356,9 +356,9 @@ class TestAdjugateProperty:
 def graded_matrices(draw, max_n=4):
     """Integer polynomials in s and t whose (i, j) entry has degree at most about (d_i + d_j)/2.
 
-    The diagonal degrees d_i are drawn first; an entry sometimes exceeds
-    its cap by one, or the diagonal entry is zero, so both sides of the
-    diagonal degree bound's condition are drawn.
+    The degrees d_i are drawn first; an entry sometimes exceeds its cap by
+    one, or is zero, so the row and column bounds vary around the
+    determinant's degree.
     """
     n = draw(st.integers(1, max_n))
     diag = [draw(st.integers(0, 3)) for _ in range(n)]
@@ -377,66 +377,51 @@ def graded_matrices(draw, max_n=4):
     ]
 
 
-class TestDiagonalDegreeBound:
-    """Interpolation on min(row bound, sum of diagonal degrees) when that is proven enough."""
+class TestDegreeBound:
+    """Interpolation on the smaller of the row and column degree bounds."""
 
-    def test_off_diagonal_above_the_diagonal_degrees(self):
-        # 2 deg(0, 1) = 4 > deg(0, 0) + deg(1, 1) = 0: the row bound 4 is needed
+    def _simplex_calls(self, monkeypatch):
+        calls = []
+        simplex = inverse._simplex
+
+        def recorded(k, bound):
+            calls.append((k, bound))
+            return simplex(k, bound)
+
+        monkeypatch.setattr(inverse, "_simplex", recorded)
+        return calls
+
+    def test_row_bound_is_reached(self):
+        # the row and column bounds are 4, the degree of the determinant
         s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
         rows = [[one, s**2], [s**2, one]]
         assert determinant(rows) == one - s**4
         assert_matches_bareiss(rows)
 
     def test_zero_diagonal_entry(self):
-        # a zero diagonal entry counts as degree 0: here the diagonal sum 2
-        # is too small, and the condition fails at (0, 1)
+        # the determinant reaches the row and column bounds, 4
         s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
         zero = Poly.zero(T)
         rows = [[zero, s, one], [s, zero, t], [one, t, s * t]]
         assert determinant(rows).total_degree() == 4
         assert_matches_bareiss(rows)
 
-    def test_zero_diagonal_entry_meeting_the_condition(self):
-        s, one, zero = Poly.symbol(T, "s"), Poly.const(T, 1), Poly.zero(T)
-        rows = [[zero, one, s], [one, s**2, s], [s, s, s**2]]
-        assert_matches_bareiss(rows)
-
-    def test_tight_diagonal_bound(self):
-        # the condition holds, and the diagonal sum 6 is below the row bound 7
+    def test_column_bound_below_the_row_bound(self, monkeypatch):
+        # row bound 3 + 3 = 6, column bound 3 + 1 = 4; det = s^4 - t^3
+        calls = self._simplex_calls(monkeypatch)
         s, t, one = Poly.symbol(T, "s"), Poly.symbol(T, "t"), Poly.const(T, 1)
-        rows = [[one, s, one], [s, s * t + one, t**2], [one, t**2, t**4 + s]]
+        rows = [[s**3, one], [t**3, s]]
+        assert determinant(rows) == s**4 - t**3
+        assert calls[0] == (2, 4)
         assert_matches_bareiss(rows)
 
-    def test_sum_power_exp_degree_three_uses_the_diagonal_bound(self, monkeypatch):
-        calls = []
-        simplex = inverse._simplex
-
-        def recorded(k, bound):
-            calls.append((k, bound))
-            return simplex(k, bound)
-
-        monkeypatch.setattr(inverse, "_simplex", recorded)
+    def test_sum_power_exp_degree_three_uses_the_divided_column_bound(self, monkeypatch):
+        calls = self._simplex_calls(monkeypatch)
         rows = build_matrix(sum_power_exp(), 3).rows()
         block_cofactors(rows)
         # one symbol; the block divided by its row contents has a column
-        # bound of 20 and a row bound of 30, and fails the diagonal condition
+        # bound of 20 and a row bound of 30
         assert [c for c in calls if c[0]] == [(1, 20)]
-
-    def test_symmetric_one_symbol_block_with_trivial_row_content(self, monkeypatch):
-        # every row's content is 1, so nothing is divided; the diagonal sum 6
-        # is below the row and column bounds 7, and is the bound used
-        calls = []
-        simplex = inverse._simplex
-
-        def recorded(k, bound):
-            calls.append((k, bound))
-            return simplex(k, bound)
-
-        monkeypatch.setattr(inverse, "_simplex", recorded)
-        s, one = Poly.symbol(T, "s"), Poly.const(T, 1)
-        rows = [[one, s, one], [s, s**2 + one, s**2], [one, s**2, s**4 + s]]
-        assert_matches_bareiss(rows, symmetric=True)
-        assert calls[0] == (1, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(graded_matrices())

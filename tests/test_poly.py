@@ -207,7 +207,7 @@ class TestRingProperties:
 
     @given(polys(), st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7))
     def test_strip_ignores_a_rational_unit(self, p, c):
-        # the integer path (p scaled to integers) and the Fraction path agree
+        # integer and rational coefficients strip to the same representative
         if c == 0:
             return
         scaled = p * const(ABC, math.lcm(*(v.denominator for v in p.terms.values())))
