@@ -101,7 +101,6 @@ __all__ = [
     "ZiiMask",
     "analyze_system",
     "base_monomial_moment",
-    "bessel_i0",
     "bilinear_box",
     "build_basis",
     "build_matrix",
@@ -127,7 +126,6 @@ __all__ = [
 # its names, so `import zii` stays free of both
 _NUMERIC_NAMES = frozenset({
     "NumericDensity",
-    "bessel_i0",
     "kibble_gamma",
     "numeric_density",
     "numeric_moment",

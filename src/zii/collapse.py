@@ -12,7 +12,7 @@ Pipeline for one cumulative equation system:
      from the equations themselves (each such step is an equivalence);
   2. if nothing remains, the system is trivially satisfiable;
   3. if one parameter remains, intersect the exact real-root sets of the
-     residual equations (gcd, divisor test, Sturm isolation);
+     residual equations (gcd, Sturm isolation, rational roots from it);
   4. otherwise sample a deterministic grid over the declared (or default)
      bounds on an integer lattice: every axis is s = a + b*k with b > 0,
      so each residual is substituted once into an integer polynomial in

@@ -75,10 +75,6 @@ class ZiiMask:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        r, c = pair
-        return (min(r, c), max(r, c)) in set(self.pairs)
-
     def labels(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.basis.label(r), self.basis.label(c)) for r, c in self.pairs)
 

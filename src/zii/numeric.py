@@ -19,12 +19,11 @@ correlated-gamma law on the orthant with unit shape,
     f(x, y) = e^(-(x+y)/(1-rho)) I0(2 sqrt(rho x y)/(1-rho)) / (1-rho),
 
 whose covariance equals rho exactly; that identity is what the tests pin.
-I0 is the order-zero modified Bessel function, computed two ways: the
-plain power series (terms added until below 1e-17 of the partial sum),
-and scipy's scaled i0e recombined in log space so large arguments cannot
-overflow.  The evaluator uses the log-space form; the series is exposed
-for cross-checking it.  scipy.special is imported only by the orthant
-quadrature and that evaluator, so box and disk checks never load it.
+I0 is the order-zero modified Bessel function, taken as scipy's scaled
+i0e and recombined in log space so large arguments cannot overflow; the
+tests check it against the plain power series.  scipy.special is
+imported only by the orthant quadrature and that evaluator, so box and
+disk checks never load it.
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ from .equations import compute_mask
 from .errors import IllConditioned, NoConvergence, ZiiError
 from .measures import DensityFamily, OrthantGamma, UnitBox, UnitDisk
 from .moments import build_basis
-from .symbols import PI_NAME
 
 __all__ = [
-    "bessel_i0",
     "NumericDensity",
     "numeric_density",
     "kibble_gamma",
@@ -53,33 +50,9 @@ __all__ = [
     "NumericResiduals",
 ]
 
-SERIES_CUTOFF = 1e-17
 NODE_START = 8
 NODE_CAP = 4096
 COND_CUTOFF = 1e12
-
-
-def bessel_i0(z: float) -> float:
-    """Order-zero modified Bessel function by its power series.
-
-    Terms (z^2/4)^k / (k!)^2 are accumulated until the next one drops
-    below 1e-17 of the running sum.  Accurate for moderate arguments;
-    beyond z of roughly 700 the true value exceeds float range anyway.
-    """
-    if z < 0:
-        raise ValueError("I0 is used on nonnegative arguments only")
-    u = z * z / 4.0
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= u / (k * k)
-        total += term
-        if term < SERIES_CUTOFF * total:
-            return total
-        if k > 100_000:
-            raise NoConvergence("I0 series failed to converge")
 
 
 @dataclass(frozen=True)
@@ -274,12 +247,3 @@ def numeric_zii_residuals(
     inv = np.linalg.inv(m)
     entries = tuple((pair, float(inv[pair])) for pair in mask.pairs)
     return NumericResiduals(degree, cond, entries, inv)
-
-
-def exact_moment_float(family: DensityFamily, point: Mapping[str, Fraction], p: int, q: int) -> float:
-    """Float value of the closed-form moment at a point (PI filled in)."""
-    values = family.check_point(point)
-    poly = family.moment(p, q)
-    assignment = {n: float(v) for n, v in values.items()}
-    assignment[PI_NAME] = math.pi
-    return poly.evaluate_float(assignment)

@@ -6,15 +6,16 @@ Fractions remain only for input coefficients, roots and interval ends.
 The gcd is Euclid on primitive parts, each pseudo-remainder divided by
 its content (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6);
 exact integer long division gives the square-free part p / gcd(p, p')
-and deflates a rational root n/d by d*x - n.  Rational roots are found
-exactly by the divisor test (numerator divides the trailing coefficient,
-denominator the leading one, after removing powers of x), with integer
-factorization by trial division plus deterministic Brent-Pollard rho.
-Remaining real roots are certified irrational by deflation and located
-by bisection down to width 1e-12 on a Sturm chain over Z whose members
-are positive multiples of the rational ones, so the root counts in each
-interval are exact and nothing is ever reported as a root that is not
-one.
+and deflates a rational root n/d by d*x - n.  Real roots are located by
+bisection on a Sturm chain over Z whose members are positive multiples of
+the rational ones, so the root counts in each interval are exact and
+nothing is ever reported as a root that is not one.  Rational roots come
+from the same isolation: by the rational root theorem each one is k/lead
+for an integer k, lead the leading coefficient of the primitive
+square-free part, so isolating intervals no wider than 1/lead hold at
+most one candidate each, and one exact evaluation decides it.  The work
+is that of the isolation, with no integer factorization.  Remaining real
+roots are certified irrational by deflation and isolated to width 1e-12.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InexactDivision, ZiiError
+from .errors import InexactDivision
 
 __all__ = [
     "uni_eval",
@@ -172,148 +173,6 @@ def _scaled_eval(p: list[int], n: int, d: int) -> int:
     return acc
 
 
-# -- integer factorization for the divisor test ---------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    # deterministic parameter sweep; n is odd, composite, not a prime power of 2
-    for c in range(1, 20):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ZiiError(f"integer factorization gave up on {n}")
-
-
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 17
-    while d * d <= n and d < 10_000:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        f = _brent_rho(m)
-        stack.extend((f, m // f))
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        raise ValueError("zero has no divisor list")
-    divs = [1]
-    for p, e in _factorize(abs(n)).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(set(divs))
-
-
-def rational_roots(
-    coeffs: list[Fraction],
-    within: tuple[Fraction | None, Fraction | None] | None = None,
-) -> list[Fraction]:
-    """All rational roots (without multiplicity), sorted ascending.
-
-    `within=(lo, hi)` restricts the search to lo <= root <= hi (either end
-    may be None); candidates outside are skipped before any evaluation,
-    which matters when the caller only accepts roots in a declared range.
-    """
-    lo, hi = within if within is not None else (None, None)
-    p = _trim(coeffs)
-    if not p:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    if len(p) == 1:
-        return []
-    if lo is not None and lo == hi:
-        # pinned range: the only possible root is the pin itself
-        return [lo] if uni_eval(p, lo) == 0 else []
-    if len(p) == 2:
-        # linear: the one root needs no divisor enumeration
-        root = Fraction(-p[0]) / p[1]
-        return [root] if (lo is None or lo <= root) and (hi is None or root <= hi) else []
-    ints = primitive(p)[1]
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots: set[Fraction] = set()
-    zero_ok = (lo is None or lo <= 0) and (hi is None or hi >= 0)
-    if low > 0 and zero_ok:
-        roots.add(_Z)
-    ints = ints[low:]
-    if len(ints) > 1:
-        lo_n = lo.numerator if lo is not None else None
-        lo_d = lo.denominator if lo is not None else None
-        hi_n = hi.numerator if hi is not None else None
-        hi_d = hi.denominator if hi is not None else None
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                if math.gcd(num, den) != 1:
-                    continue
-                for sn in (num, -num):
-                    # integer bound tests before any Fraction is built
-                    if lo_n is not None and sn * lo_d < lo_n * den:
-                        continue
-                    if hi_n is not None and sn * hi_d > hi_n * den:
-                        continue
-                    if _scaled_eval(ints, sn, den) == 0:
-                        roots.add(Fraction(sn, den))
-    return sorted(roots)
-
-
 # -- Sturm chains -----------------------------------------------------------
 
 
@@ -385,6 +244,45 @@ def isolate_real_roots(
         work.append((lo, mid))
         work.append((mid, hi))
     return sorted(isolated)
+
+
+def rational_roots(
+    coeffs: list[Fraction],
+    within: tuple[Fraction | None, Fraction | None] | None = None,
+) -> list[Fraction]:
+    """All rational roots (without multiplicity), sorted ascending.
+
+    `within=(lo, hi)` keeps only roots with lo <= root <= hi (either end
+    may be None).  A pinned range lo == hi costs one evaluation and a
+    linear polynomial none; otherwise the whole square-free part is
+    isolated and the range filters the roots found.
+    """
+    lo, hi = within if within is not None else (None, None)
+    p = _trim(coeffs)
+    if not p:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    if len(p) == 1:
+        return []
+    if lo is not None and lo == hi:
+        # pinned range: the only possible root is the pin itself
+        return [lo] if uni_eval(p, lo) == 0 else []
+    if len(p) == 2:
+        # linear: the one root has a closed form
+        root = Fraction(-p[0]) / p[1]
+        return [root] if (lo is None or lo <= root) and (hi is None or root <= hi) else []
+    # every rational root of the primitive part is k/lead for an integer k,
+    # and an interval (a, b] of width at most 1/lead holds at most one such
+    # value: k = floor(b*lead), when k > a*lead
+    p = squarefree_part(p)
+    lead = p[-1]
+    roots = []
+    for a, b in isolate_real_roots(p, Fraction(1, lead)):
+        k = math.floor(b * lead)
+        if k > a * lead and _scaled_eval(p, k, lead) == 0:
+            root = Fraction(k, lead)
+            if (lo is None or lo <= root) and (hi is None or root <= hi):
+                roots.append(root)
+    return roots
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ point by Horner's rule over Fractions, with no lattice and no integer
 scaling.  The univariate gcd, Sturm chain and real-root oracles run over
 Fractions, where the library runs them over the integers on primitive
 parts; the real-root oracle takes its rational roots from sympy's
-factorization instead of the divisor test.
+factorization instead of the Sturm isolation.  The float oracles evaluate
+the closed-form moments at a point, and the correlated-gamma density
+through the plain power series of I0 where the library recombines
+scipy's scaled i0e in log space.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from zii.collapse import (
     grid_values,
 )
 from zii.equations import EquationEntry, EquationSystem, compute_mask
-from zii.errors import SingularMatrix
+from zii.errors import NoConvergence, SingularMatrix
 from zii.inverse import det_and_cofactors
 from zii.moments import MomentMatrix, build_matrix
 from zii.poly import Poly
 from zii.roots import RealRoots, rational_roots, uni_eval
+from zii.symbols import PI_NAME
 
 
 def rising_oracle(shape: Fraction, n: int) -> Fraction:
@@ -504,3 +508,48 @@ def sampled_analysis_fraction(
         SolveStatus.SAMPLED, residual_texts, _elim_texts(eliminations),
         tuple(witnesses), (), grid, tuple(notes),
     )
+
+
+def exact_moment_float(family, point: dict[str, Fraction], p: int, q: int) -> float:
+    """Float value of the closed-form moment at a point (PI filled in)."""
+    values = family.check_point(point)
+    assignment = {n: float(v) for n, v in values.items()}
+    assignment[PI_NAME] = math.pi
+    return family.moment(p, q).evaluate_float(assignment)
+
+
+def bessel_i0(z: float) -> float:
+    """Order-zero modified Bessel function by its power series.
+
+    Terms (z^2/4)^k / (k!)^2 are accumulated until the next one drops
+    below 1e-17 of the running sum.  Accurate for moderate arguments;
+    beyond z of roughly 700 the true value exceeds float range anyway.
+    """
+    if z < 0:
+        raise ValueError("I0 is used on nonnegative arguments only")
+    u = z * z / 4.0
+    term = 1.0
+    total = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= u / (k * k)
+        total += term
+        if term < 1e-17 * total:
+            return total
+        if k > 100_000:
+            raise NoConvergence("I0 series failed to converge")
+
+
+def kibble_gamma_relative_oracle(
+    rho: float, x: float, y: float, sigma1: float = 1.0, sigma2: float = 1.0
+) -> float:
+    """Correlated-gamma density over the e^(-x-y) orthant weight, from the closed form.
+
+    f(x, y) = e^(-(x/s1 + y/s2)/(1-rho)) I0(2 sqrt(rho x y / (s1 s2))/(1-rho))
+    / (s1 s2 (1-rho)), with I0 summed as its power series.
+    """
+    omr = 1.0 - rho
+    z = 2.0 * math.sqrt(rho * x * y / (sigma1 * sigma2)) / omr
+    density = math.exp(-(x / sigma1 + y / sigma2) / omr) * bessel_i0(z) / (sigma1 * sigma2 * omr)
+    return density * math.exp(x + y)

@@ -16,12 +16,12 @@ SRC = str(REPO_ROOT / "src")
 HEAVY = ("sympy", "numpy", "scipy")
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        cwd=REPO_ROOT, timeout=120,
+        cwd=REPO_ROOT, timeout=timeout,
     )
 
 

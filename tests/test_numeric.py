@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,13 +14,13 @@ from zii.measures import (
     sum_power_exp,
 )
 from zii.numeric import (
-    bessel_i0,
-    exact_moment_float,
     kibble_gamma,
     numeric_density,
     numeric_moment,
     numeric_zii_residuals,
 )
+
+from oracle_defs import bessel_i0, exact_moment_float, kibble_gamma_relative_oracle
 
 F = Fraction
 
@@ -33,6 +32,19 @@ class TestBessel:
 
     def test_at_zero(self):
         assert bessel_i0(0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "rho,sigma1,sigma2",
+        [(0.0, 1.0, 1.0), (0.0, 2.0, 0.5), (0.3, 1.0, 1.0), (0.7, 1.5, 0.8), (0.9, 1.0, 1.0)],
+    )
+    def test_log_space_evaluator_matches_the_series(self, rho, sigma1, sigma2):
+        # the library recombines scipy's scaled i0e in log space; the oracle
+        # sums the I0 series in the closed form directly
+        points = [(0.0, 0.0), (0.5, 2.0), (3.0, 7.0), (10.0, 12.0), (25.0, 4.0)]
+        relative = kibble_gamma(rho, sigma1, sigma2).relative
+        for x, y in points:
+            want = kibble_gamma_relative_oracle(rho, x, y, sigma1, sigma2)
+            assert float(relative(x, y)) == pytest.approx(want, rel=1e-12)
 
 
 class TestQuadratureVsExact:

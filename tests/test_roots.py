@@ -29,6 +29,7 @@ from zii.roots import (
 )
 
 from oracle_defs import real_roots_fraction, sturm_chain_fraction, uni_gcd_fraction
+from test_imports import run_python
 
 F = Fraction
 
@@ -46,6 +47,23 @@ def poly_from_roots(roots):
 small_fracs = st.fractions(
     min_value=F(-12), max_value=F(12), max_denominator=6
 )
+
+
+@st.composite
+def factored_polys(draw):
+    """(integer coefficients, rational roots, extra factor) of a product.
+
+    Up to six factors d*x - n with |n|, d <= 10**6, drawn from a pool of
+    at most three so that roots repeat, times 1, x^2 + 1 or x^2 - 2.
+    """
+    linear = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    pool = draw(st.lists(linear, min_size=1, max_size=3))
+    factors = draw(st.lists(st.sampled_from(pool), max_size=6))
+    extra = draw(st.sampled_from([[1], [1, 0, 1], [-2, 0, 1]]))
+    coeffs = extra
+    for n, d in factors:
+        coeffs = mul(coeffs, [-n, d])
+    return coeffs, [F(n, d) for n, d in factors], extra
 
 
 class TestRationalRoots:
@@ -75,6 +93,12 @@ class TestRationalRoots:
         assert rational_roots(coeffs, within=(F(2), F(2))) == [F(2)]
         assert rational_roots(coeffs, within=(F(3), F(3))) == []
 
+    def test_repeated_roots(self):
+        # multiple roots fall on bisection points, where a chain that is not
+        # square-free vanishes in every member and miscounts
+        assert rational_roots(poly_from_roots([F(-1), F(-1), F(1)])) == [F(-1), F(1)]
+        assert rational_roots(mul([1, 0, 1], poly_from_roots([F(0)] * 3))) == [F(0)]
+
     def test_denominator_roots(self):
         coeffs = poly_from_roots([F(1, 3), F(-5, 7)])
         assert set(rational_roots(coeffs)) == {F(1, 3), F(-5, 7)}
@@ -94,9 +118,9 @@ class TestRationalRoots:
         hi=st.none() | small_fracs,
         pinned=st.booleans(),
     )
-    def test_linear_fast_path_agrees_with_divisor_path(self, c0, c1, lo, hi, pinned):
+    def test_linear_fast_path_agrees_with_isolation_path(self, c0, c1, lo, hi, pinned):
         # (c0 + c1*x)(1 + x^2) has the same real roots, and as a cubic it
-        # goes through the divisor enumeration
+        # goes through the Sturm isolation unless the range is pinned
         if pinned:
             hi = lo
         line = [c0, c1]
@@ -104,6 +128,40 @@ class TestRationalRoots:
         got = rational_roots(line, within=(lo, hi))
         assert got == rational_roots(cubic, within=(lo, hi))
         assert all(isinstance(r, Fraction) for r in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factored_polys())
+    def test_large_roots_with_repeats(self, case):
+        coeffs, roots, extra = case
+        want = sorted(set(roots))
+        assert rational_roots(coeffs) == want
+        rr = real_roots(coeffs)
+        assert rr.rational == tuple(want)
+        assert len(rr.irrational_intervals) == (2 if extra == [-2, 0, 1] else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factored_polys(), st.data())
+    def test_within_ends_are_inclusive(self, case, data):
+        # both ends drawn on the roots themselves, so a root sits on each end
+        coeffs, roots, _ = case
+        end = st.none() | st.sampled_from(roots) if roots else st.none()
+        lo, hi = data.draw(end), data.draw(end)
+        want = sorted(
+            r for r in set(roots) if (lo is None or lo <= r) and (hi is None or r <= hi)
+        )
+        assert rational_roots(coeffs, within=(lo, hi)) == want
+
+    def test_work_is_bounded_by_the_isolation(self):
+        # (N*x - 1)(x^2 + 1) with N the product of two 21-digit primes: a
+        # divisor test would have to factor N; the isolation takes milliseconds
+        code = (
+            "from fractions import Fraction\n"
+            "from zii.roots import rational_roots\n"
+            "N = (10**20 + 39) * (10**20 + 129)\n"
+            "assert rational_roots([-1, N, -1, N]) == [Fraction(1, N)]\n"
+        )
+        result = run_python(code, timeout=20)
+        assert result.returncode == 0, result.stderr
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(small_fracs, min_size=1, max_size=4))
