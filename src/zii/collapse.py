@@ -17,14 +17,18 @@ Pipeline for one cumulative equation system:
      bounds on an integer lattice: every axis is s = a + b*k with b > 0,
      so each residual is substituted once into an integer polynomial in
      the grid indices k (scaled by a positive integer, which keeps every
-     sign and zero).  The walk fixes indices with integer arithmetic,
-     tallies sign patterns along the last axis by integer Horner, and
-     recovers exact witnesses by solving the last residual equation for
-     the last index along each grid slice, mapping roots back to s.
-     Rational points are built only for candidates, and every candidate
-     is re-checked exactly before being called a witness.  The counts,
-     witnesses and notes are those of evaluating each grid point in
-     rational arithmetic.
+     sign and zero).  The walk fixes all but the last two indices with
+     integer arithmetic and evaluates the last two axes as one row-major
+     block: each coefficient of the last index is evaluated over the whole
+     row axis, the block by integer Horner in C-level passes, and its sign
+     patterns are tallied at once.  Exact witnesses come from the block's
+     zeros and from solving the last residual equation for the last index
+     along each row, mapping roots back to s; a declared single point on
+     the last axis leaves nothing to solve off the grid.  Each candidate
+     is re-checked exactly before being called a witness, and within one
+     analysis equal witness values and (name, value) pairs are stored
+     once.  The counts, witnesses and notes are those of evaluating each
+     grid point in rational arithmetic.
 
 A candidate becomes a witness only after an exact admission check: the
 eliminated parameters are recovered, the point must meet every declaration
@@ -45,6 +49,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -89,7 +94,7 @@ class ProductVerdict(enum.Enum):
     DOMAIN_NOT_PRODUCT = "domain-not-product"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A full admissible parameter assignment satisfying the system."""
 
@@ -249,6 +254,9 @@ class _Admission:
         self.grid_points = grid_points
         self.left = ADMISSION_BUDGET
         self.binds = False  # an attempt was refused for want of budget
+        # equal values and (name, value) pairs of this analysis's witnesses
+        # are stored once; nothing is shared with another analysis
+        self.shared: dict = {}
 
     def complete(self, partial: Mapping[str, Fraction], unset: Sequence[str]) -> Witness | None:
         """First admissible witness that extends `partial` over the grid of `unset`."""
@@ -263,7 +271,9 @@ class _Admission:
                 self.eliminations, self.equations,
             )
             if w:
-                return w
+                share = self.shared.setdefault
+                pairs = ((n, share(v, v)) for n, v in w.values)
+                return Witness(tuple(share(p, p) for p in pairs))
         return None
 
     def note(self) -> list[str]:
@@ -466,6 +476,40 @@ def _fix_first(terms: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...
     return {e: c for e, c in out.items() if c}
 
 
+def _column(coeffs: dict[int, int], m: int) -> list[int]:
+    """sum c*i^e over coeffs {e: c} at i = 0..m-1, by Horner in C-level passes."""
+    top = max(coeffs, default=0)
+    vals = [coeffs.get(top, 0)] * m
+    for e in range(top - 1, -1, -1):
+        vals = list(map(operator.add, map(operator.mul, vals, range(m)),
+                        itertools.repeat(coeffs.get(e, 0))))
+    return vals
+
+
+def _block(
+    terms: dict[tuple[int, int], int], m: int, n: int, tiled: list[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Columns and row-major values of an integer polynomial in (i, j).
+
+    Column f lists the coefficient of j^f at i = 0..m-1; the block holds
+    the value at (i, j) in position i*n + j.  `tiled` is range(n) repeated
+    m times.  Horner in j: the top two columns give one progression per
+    row, and each lower column is one C-level pass over the block.
+    """
+    by_power: dict[int, dict[int, int]] = {}
+    for (e, f), c in terms.items():
+        by_power.setdefault(f, {})[e] = c
+    cols = [_column(by_power.get(f, {}), m) for f in range(max(by_power, default=0) + 1)]
+    top, below = (cols[-1], cols[-2]) if len(cols) > 1 else ([0] * m, cols[0])
+    block: list[int] = []
+    for lead, c in zip(top, below):
+        block += range(c, c + lead * n, lead) if lead else itertools.repeat(c, n)
+    for col in reversed(cols[:-2]):
+        spread = itertools.chain.from_iterable(map(itertools.repeat, col, itertools.repeat(n)))
+        block = list(map(operator.add, map(operator.mul, block, tiled), spread))
+    return cols, block
+
+
 def _sampled_analysis(
     family, equations, free, eliminations, original_equations,
     residual_texts, notes, grid_points, witness_cap=WITNESS_CAP,
@@ -494,22 +538,31 @@ def _sampled_analysis(
 
     last = len(syms) - 1
     last_decl = family.param(syms[last])
-    a_last, b_last, _ = lattices[last]
+    a_last, b_last, n = lattices[last]
     # solved candidates outside the declared range would fail admission
-    # anyway; the range is mapped onto the last axis's lattice index
+    # anyway; the range is mapped onto the last axis's lattice index.  A
+    # declared single point maps to the one index k = 0, which the tally
+    # evaluates, so there is nothing to solve for off the grid
     last_within = tuple(
         None if x is None else (x - a_last) / b_last
         for x in (last_decl.lower, last_decl.upper)
     )
+    solve = last_within[0] is None or last_within[0] != last_within[1]
+    # one value list per axis, so candidates share their grid Fractions
+    axis_values = [[a + b * k for k in range(size)] for a, b, size in lattices]
+    # the last two axes are one row-major block; a single axis is a block
+    # with a one-point leading axis
+    rows = axis_values[last - 1] if last else [None]
+    m = len(rows)
+    tiled = list(range(n)) * m
     admission = _Admission(family, eliminations, original_equations, grid_points)
     sign_counts = [[0, 0, 0] for _ in equations]
     witnesses: list[Witness] = []
     seen: set[tuple] = set()
 
-    def admit_candidate(ks: tuple):
+    def admit_candidate(values: dict[str, Fraction]):
         if len(witnesses) >= witness_cap:
             return
-        values = {n: a + b * k for n, (a, b, _), k in zip(syms, lattices, ks)}
         key = tuple(sorted(values.items()))
         if key in seen:
             return
@@ -518,46 +571,56 @@ def _sampled_analysis(
         if w:
             witnesses.append(w)
 
-    def walk(level: int, polys: list[dict], ks: tuple):
-        if level < last:
-            for k in range(sizes[level]):
-                walk(level + 1, [_fix_first(p, k) for p in polys], ks + (k,))
-            return
-        n = sizes[last]
-        coeff_lists = []
-        zeros = range(n)
+    def leaf(polys: list[dict], ks: tuple):
+        blocks = []
+        zeros = None  # block positions where every equation so far vanishes
         for counts, terms in zip(sign_counts, polys):
-            cl = [0] * (max((e for e, in terms), default=0) + 1)
-            for (e,), c in terms.items():
-                cl[e] = c
-            coeff_lists.append(cl)
-            # integer Horner over k = 0..n-1; the leading coefficient is
-            # nonzero, so the first step is the progression lead*k + next
-            if len(cl) == 1:
-                vals = [cl[0]] * n
-            else:
-                vals = list(range(cl[-2], cl[-2] + cl[-1] * n, cl[-1]))
-                for c in reversed(cl[:-2]):
-                    vals = [v * k + c for k, v in enumerate(vals)]
-            neg = sum(map((0).__gt__, vals))
+            cols, vals = _block(terms, m, n, tiled)
+            blocks.append(cols)
+            neg = sum(map(operator.lt, vals, itertools.repeat(0)))
             zero = vals.count(0)
             counts[0] += neg
             counts[1] += zero
-            counts[2] += n - neg - zero
-            zeros = [k for k in zeros if not vals[k]] if zero else ()
-        if len(witnesses) >= witness_cap:
+            counts[2] += len(vals) - neg - zero
+            if not zero:
+                zeros = ()
+            elif zeros is None:
+                zeros = list(itertools.compress(itertools.count(), map(operator.not_, vals)))
+            else:
+                zeros = [k for k in zeros if not vals[k]]
+        if len(witnesses) >= witness_cap or not (zeros or solve):
             return
-        for k in zeros:
-            admit_candidate(ks + (k,))
-        # exact witnesses off the grid: solve the last non-constant
-        # residual equation for the last index on this slice
-        for cl in reversed(coeff_lists):
-            if len(cl) > 1:
-                for root in rational_roots(cl, within=last_within):
-                    admit_candidate(ks + (root,))
-                break
+        on_grid: dict[int, list[int]] = {}
+        for z in zeros:
+            on_grid.setdefault(z // n, []).append(z % n)
+        for i, row in enumerate(rows):
+            if len(witnesses) >= witness_cap:
+                return
+            prefix = dict(zip(syms, ks + (row,) if last else ks))
+            for j in on_grid.get(i, ()):
+                admit_candidate({**prefix, syms[last]: axis_values[last][j]})
+            if not solve:
+                continue
+            # exact witnesses off the grid: solve the last non-constant
+            # residual equation for the last index along this row
+            for cols in reversed(blocks):
+                cl = [col[i] for col in cols]
+                while len(cl) > 1 and not cl[-1]:
+                    cl.pop()
+                if len(cl) > 1:
+                    for root in rational_roots(cl, within=last_within):
+                        admit_candidate({**prefix, syms[last]: a_last + b_last * root})
+                    break
 
-    walk(0, [_lattice_terms(p, syms, lattices) for p in equations], ())
+    def walk(level: int, polys: list[dict], ks: tuple):
+        if level < last - 1:
+            for k, v in enumerate(axis_values[level]):
+                walk(level + 1, [_fix_first(p, k) for p in polys], ks + (v,))
+        else:
+            leaf(polys, ks)
+
+    terms = [_lattice_terms(p, syms, lattices) for p in equations]
+    walk(0, terms if last else [{(0,) + e: c for e, c in t.items()} for t in terms], ())
     grid = GridSummary(
         tuple(syms), tuple(sizes), total, tuple(tuple(c) for c in sign_counts),
     )

@@ -236,11 +236,38 @@ class Poly:
         return total
 
     def substitute(self, assignment: Mapping[str, object]) -> "Poly":
-        """Partially evaluate some symbols at exact rational values."""
-        out = self
-        for name, value in assignment.items():
-            out = out.subs_symbol(name, Poly.const(self.table, value))
-        return out
+        """Partially evaluate some symbols at exact rational values.
+
+        One pass over the terms in integers: each term is multiplied by its
+        values' powers and regrouped by the exponents of the symbols left
+        free.  Every term is scaled to one common denominator (the lcm of
+        the coefficients' denominators times each value's denominator to
+        its top exponent), so each regrouped sum is one integer.
+        """
+        given = [
+            (self.table.index(name), coerce_rational(value))
+            for name, value in assignment.items()
+        ]
+        if not given or self.is_zero:
+            return self
+        tops = [max(column) for column in zip(*self.terms)]
+        lcd = math.lcm(*(c.denominator for c in self.terms.values()))
+        den = lcd * math.prod(v.denominator ** tops[i] for i, v in given)
+        # n**e * d**(top - e) is (n/d)**e scaled by d**top
+        scaled = [
+            (i, [v.numerator**e * v.denominator ** (tops[i] - e) for e in range(tops[i] + 1)])
+            for i, v in given
+        ]
+        out: dict[Exponents, int] = {}
+        for exps, coeff in self.terms.items():
+            term = coeff.numerator * (lcd // coeff.denominator)
+            rest = list(exps)
+            for i, powers in scaled:
+                term *= powers[rest[i]]
+                rest[i] = 0
+            rest = tuple(rest)
+            out[rest] = out.get(rest, 0) + term
+        return Poly(self.table, {e: Fraction(s, den) for e, s in out.items()})
 
     def subs_symbol(self, name: str, replacement: "Poly") -> "Poly":
         """Replace one symbol by a polynomial (used for constraint elimination)."""

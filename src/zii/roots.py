@@ -214,15 +214,19 @@ def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
 def isolate_real_roots(
     coeffs: list[Fraction], width: Fraction = ISOLATION_WIDTH
 ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (lo, hi], each holding exactly one real root.
+    """Disjoint intervals (lo, hi], each holding exactly one distinct real root.
 
-    Input must be squarefree (use squarefree_part first); intervals are
-    bisected down to the requested width.
+    Intervals are bisected down to the requested width.  The last member
+    of the Sturm chain is gcd(p, p'); when it is not constant, p has a
+    multiple root, which would zero every member at a bisection point, so
+    the square-free part p / gcd(p, p') is isolated instead.
     """
     p = _trim(coeffs)
     if len(p) <= 1:
         return []
     chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = sturm_chain(exact_quotient(chain[0], chain[-1]))
     bound = _cauchy_bound(p)
     work = [(-bound, bound)]
     isolated = []

@@ -16,7 +16,12 @@ oracle skips that reduction and only strips each full cofactor.  The
 grid-walk oracle samples the same grid as the library, but substitutes
 each Fraction grid value into the Poly residuals and evaluates every
 point by Horner's rule over Fractions, with no lattice and no integer
-scaling.  The univariate gcd, Sturm chain and real-root oracles run over
+scaling.  The slice-walk oracle walks the library's integer lattice one
+slice of the last axis at a time and evaluates each point as a plain sum
+of powers, where the library evaluates the last two axes as one block by
+Horner; it also solves on a pinned last axis, which the library skips.
+The substitution oracle replaces one symbol at a time with subs_symbol,
+where Poly.substitute makes one integer pass.  The univariate gcd, Sturm chain and real-root oracles run over
 Fractions, where the library runs them over the integers on primitive
 parts; the real-root oracle takes its rational roots from sympy's
 factorization instead of the Sturm isolation.  The float oracles evaluate
@@ -42,7 +47,11 @@ from zii.collapse import (
     SolveStatus,
     Witness,
     _admit,
+    _Admission,
     _elim_texts,
+    _fix_first,
+    _lattice_terms,
+    grid_lattice,
     grid_values,
 )
 from zii.equations import EquationEntry, EquationSystem, compute_mask
@@ -508,6 +517,120 @@ def sampled_analysis_fraction(
         SolveStatus.SAMPLED, residual_texts, _elim_texts(eliminations),
         tuple(witnesses), (), grid, tuple(notes),
     )
+
+
+def sampled_analysis_slices(
+    family, equations, free, eliminations, original_equations,
+    residual_texts, notes, grid_points, witness_cap=WITNESS_CAP,
+) -> SolutionAnalysis:
+    """The integer lattice walk one slice of the last axis at a time.
+
+    A drop-in for zii.collapse._sampled_analysis: every index but the last
+    is fixed by _fix_first, each slice is evaluated by its own integer
+    Horner and tallied on its own, and the last residual equation that is
+    not constant along the slice is solved for the last index with
+    rational_roots, also when the declared range pins it.  The library
+    evaluates the last two axes as one block and skips that solve on a
+    pinned range, so it must return an equal SolutionAnalysis.
+    """
+    involved = {s for p in equations for s in p.free_symbols()}
+    syms = [n for n in free if n in involved]
+    inactive = [n for n in free if n not in involved]
+    points = grid_points
+    while True:
+        lattices = [grid_lattice(family.param(n), points) for n in syms]
+        sizes = [n for _, _, n in lattices]
+        total = math.prod(sizes)
+        if points <= 2 or total <= GRID_LEAF_CAP:
+            break
+        points = (points + 1) // 2
+    if points != grid_points:
+        notes = notes + [f"grid reduced to {points} points per axis to bound the walk"]
+    if inactive:
+        notes = notes + [
+            "parameters not in the residual equations ("
+            + ", ".join(inactive)
+            + ") are gridded only when completing a witness"
+        ]
+
+    last = len(syms) - 1
+    last_decl = family.param(syms[last])
+    a_last, b_last, _ = lattices[last]
+    last_within = tuple(
+        None if x is None else (x - a_last) / b_last
+        for x in (last_decl.lower, last_decl.upper)
+    )
+    admission = _Admission(family, eliminations, original_equations, grid_points)
+    sign_counts = [[0, 0, 0] for _ in equations]
+    witnesses: list[Witness] = []
+    seen: set[tuple] = set()
+
+    def admit_candidate(ks: tuple):
+        if len(witnesses) >= witness_cap:
+            return
+        values = {n: a + b * k for n, (a, b, _), k in zip(syms, lattices, ks)}
+        key = tuple(sorted(values.items()))
+        if key in seen:
+            return
+        seen.add(key)
+        w = admission.complete(values, inactive)
+        if w:
+            witnesses.append(w)
+
+    def walk(level: int, polys: list[dict], ks: tuple):
+        if level < last:
+            for k in range(sizes[level]):
+                walk(level + 1, [_fix_first(p, k) for p in polys], ks + (k,))
+            return
+        n = sizes[last]
+        coeff_lists = []
+        zeros = range(n)
+        for counts, terms in zip(sign_counts, polys):
+            cl = [0] * (max((e for e, in terms), default=0) + 1)
+            for (e,), c in terms.items():
+                cl[e] = c
+            coeff_lists.append(cl)
+            vals = [sum(c * k**e for e, c in enumerate(cl)) for k in range(n)]
+            neg = sum(v < 0 for v in vals)
+            zero = vals.count(0)
+            counts[0] += neg
+            counts[1] += zero
+            counts[2] += n - neg - zero
+            zeros = [k for k in zeros if not vals[k]] if zero else ()
+        if len(witnesses) >= witness_cap:
+            return
+        for k in zeros:
+            admit_candidate(ks + (k,))
+        for cl in reversed(coeff_lists):
+            if len(cl) > 1:
+                for root in rational_roots(cl, within=last_within):
+                    admit_candidate(ks + (root,))
+                break
+
+    walk(0, [_lattice_terms(p, syms, lattices) for p in equations], ())
+    grid = GridSummary(
+        tuple(syms), tuple(sizes), total, tuple(tuple(c) for c in sign_counts),
+    )
+    notes = notes + admission.note()
+    if len(witnesses) >= witness_cap:
+        notes = notes + [f"witness collection capped at {witness_cap}"]
+    if not witnesses:
+        notes = notes + [
+            "no exact witness found on the sample; this is evidence, not a "
+            "proof that the system has no admissible solutions"
+        ]
+    return SolutionAnalysis(
+        SolveStatus.SAMPLED, residual_texts, _elim_texts(eliminations),
+        tuple(witnesses), (), grid, tuple(notes),
+    )
+
+
+def substitute_chain(poly: Poly, assignment: dict) -> Poly:
+    """Poly.substitute as one subs_symbol call, and one Poly product per power, per symbol."""
+    out = poly
+    for name, value in assignment.items():
+        out = out.subs_symbol(name, Poly.const(poly.table, value))
+    return out
 
 
 def exact_moment_float(family, point: dict[str, Fraction], p: int, q: int) -> float:

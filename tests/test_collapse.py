@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_defs import sampled_analysis_fraction
+from oracle_defs import sampled_analysis_fraction, sampled_analysis_slices
 from zii import collapse
 from zii.collapse import (
     DEFAULT_GRID_POINTS,
@@ -27,7 +30,10 @@ from zii.collapse import (
 from zii.dsl import parse_density_spec, parse_expression
 from zii.errors import ArgumentOutOfRange, ConstraintViolation, MissingSymbol
 from zii.poly import Poly
+from zii.reports import collapse_payload, to_json_text
+from zii.roots import rational_roots
 from zii.measures import (
+    BUILTIN_FAMILIES,
     Assumption,
     ParamDecl,
     bilinear_box,
@@ -373,6 +379,184 @@ class TestLatticeWalkMatchesFractionWalk:
             walks_agree(
                 m, equations, fam, grid_points=grid_points, witness_cap=witness_cap
             )
+
+
+# declarations of a walked axis: one-point grids (declared or from a
+# default bound), one-sided and pinned ranges, strided and empty integer axes
+AXIS_DECLS = [
+    "none", "none:-1..3", "none:1/3..7/4", "none:1..1", "none:-3/4..", "none:..1/2",
+    "none:2..", "positive", "nonneg-int:0..40", "nonneg-int:1/2..3/2",
+    "nonneg-int:3..3", "nonneg-int:1/2..1/2",
+]
+
+
+@st.composite
+def walked_systems(draw):
+    """(family, equations) over 1-4 parameters, degree at most 3 in each.
+
+    Each equation is a random polynomial of degree at most 2 in each
+    parameter times a linear form, which vanishes on whole lines of
+    lattice points, so on-grid witnesses turn up as well as solved ones.
+    """
+    names = ["p", "q", "r", "s"][: draw(st.integers(1, 4))]
+    decls = [draw(st.sampled_from(AXIS_DECLS)) for _ in names]
+    fam = family_from(", ".join(f"{n}:{d}" for n, d in zip(names, decls)))
+    small = st.integers(-3, 3)
+
+    def poly(max_exp, max_terms):
+        terms = draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, max_exp)] * len(names)), small, min_size=1,
+                max_size=max_terms,
+            )
+        )
+        width = [fam.table.names.index(n) for n in names]
+        out = {}
+        for exps, c in terms.items():
+            full = [0] * len(fam.table)
+            for i, e in zip(width, exps):
+                full[i] = e
+            out[tuple(full)] = Fraction(c, draw(st.sampled_from([1, 1, 2, 3])))
+        return Poly(fam.table, out)
+
+    equations = [
+        poly(2, 4) * poly(1, 2) for _ in range(draw(st.integers(1, 3)))
+    ]
+    assume(any(e.free_symbols() for e in equations))
+    return fam, equations
+
+
+class TestBlockWalkMatchesSliceWalk:
+    """The block walk against the slice-at-a-time walk it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        system=walked_systems(),
+        grid_points=st.integers(2, 5),
+        witness_cap=st.integers(1, 6),
+    )
+    def test_random_systems(self, system, grid_points, witness_cap):
+        fam, equations = system
+        texts = tuple(e.to_text() for e in equations)
+        args = (
+            fam, equations, list(fam.param_names), [], equations, texts, [],
+            grid_points, witness_cap,
+        )
+        assert collapse._sampled_analysis(*args) == sampled_analysis_slices(*args)
+
+    def test_cap_binds_inside_a_block(self):
+        # s*t = 1 on the block s, t in {-2, ..., 2}: row s = -2 gives the
+        # solved witness t = -1/2, row s = -1 the on-grid t = -1, and a cap
+        # of 2 binds there with three rows of the block left
+        fam = family_from("s:none, t:none")
+        eq = residual(fam, "s*t - 1")
+        args = (fam, [eq], ["s", "t"], [], [eq], (eq.to_text(),), [], 5, 2)
+        analysis = collapse._sampled_analysis(*args)
+        assert analysis == sampled_analysis_slices(*args)
+        assert [w.text() for w in analysis.witnesses] == ["s = -2, t = -1/2", "s = -1, t = -1"]
+
+    def test_single_walked_axis(self):
+        fam = family_from("t:none:-3/4..")
+        eq = residual(fam, "4*t^2 - 1")
+        args = (fam, [eq], ["t"], [], [eq], (eq.to_text(),), [], 7, 64)
+        analysis = collapse._sampled_analysis(*args)
+        assert analysis == sampled_analysis_slices(*args)
+        assert [w.text() for w in analysis.witnesses] == ["t = -1/2", "t = 1/2"]
+
+
+class TestPinnedLastAxis:
+    """The off-grid solve is skipped only where the declared range is one point."""
+
+    def test_one_point_grid_of_a_one_sided_range_is_still_solved(self):
+        # b has the declared range [2, oo) and the default upper bound 2, so
+        # its grid is the one point 2, but a*b = 6 has solutions with b > 2
+        fam = parse_density_spec(
+            "family: edge\ndomain: unit-box\ndensity: 1 + a*x + b*y\n"
+            "params: a:none, b:none:2..\n"
+        )
+        analysis = analyze_system([residual(fam, "a*b - 6")], fam)
+        assert analysis.grid.axis_sizes == (21, 1)
+        assert [w.text() for w in analysis.witnesses] == [
+            "a = 1/5, b = 30", "a = 2/5, b = 15", "a = 3/5, b = 10", "a = 4/5, b = 15/2",
+            "a = 1, b = 6", "a = 6/5, b = 5", "a = 7/5, b = 30/7", "a = 8/5, b = 15/4",
+            "a = 9/5, b = 10/3", "a = 2, b = 3",
+        ]
+
+    def test_declared_point_makes_no_solve(self, monkeypatch):
+        # disk-quadratic's last walked axis is v, declared 1..1; the slice walk
+        # made 441 rational_roots calls here, each one evaluation at v = 1
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return rational_roots(*args, **kwargs)
+
+        monkeypatch.setattr(collapse, "rational_roots", spy)
+        report = collapse_order(disk_quadratic(), 2)
+        assert report.entry(2).analysis.grid.symbols[-1] == "v"
+        assert calls == []
+
+
+class TestWitnessStorage:
+    def test_equal_values_and_pairs_are_shared_within_an_analysis(self):
+        first, second = (collapse_order(bilinear_box(), 1).entry(1).analysis for _ in range(2))
+
+        def parts(analysis):
+            pairs = [pair for w in analysis.witnesses for pair in w.values]
+            return pairs, [v for _, v in pairs]
+
+        for analysis in (first, second):
+            pairs, values = parts(analysis)
+            assert len(set(pairs)) < len(pairs)
+            assert len({id(p) for p in pairs}) == len(set(pairs))
+            assert len({id(v) for v in values}) == len(set(values))
+        ids = [{id(x) for part in parts(a) for x in part} for a in (first, second)]
+        assert not ids[0] & ids[1]
+
+    def test_witness_has_no_instance_dict(self):
+        assert not hasattr(Witness(()), "__dict__")
+
+
+# sha256 of to_json_text(collapse_payload(collapse_order(family, d,
+# stop_at_first=False))), recorded with the slice-at-a-time walk
+COLLAPSE_PINS = {
+    ("product-exponential", 1): "e3cb7e7a7ea651738a4bdc1c6f7979b91529fdc2748354e8d90462d71fbf30d4",
+    ("product-exponential", 2): "427c96855bc4db9ee054be28332513d7e5167bd37b193364a5400bf4327dae6a",
+    ("product-exponential", 3): "f5a55f9250adfc0300ae30edbcbc06838f875ee3d518be1eb6b32e6dacf2121e",
+    ("sum-power-exp", 1): "1d7c9c340aaf6d1d144be3b30c521b6b2233e7e71278980cef1d81e7660837ee",
+    ("sum-power-exp", 2): "bf548e55c1f2c8bbe3ebfb413ef85fde392a942d1df63a3e54cde511ccffecdd",
+    ("sum-power-exp", 3): "dd61d0c9e0a7bfe35e5ff2693409d53e976263349c216aadbb1cfb56f187388e",
+    ("bilinear-box", 1): "0c9d1709426ed2523c64cfa57be1f5d15427604fa15fc17df6d54c10f52fe4ab",
+    ("bilinear-box", 2): "8228b47dc6e37a31dd9c134c9b0c61f9458e051dead9d7e6190697228e78dcd9",
+    ("bilinear-box", 3): "7519b2a7a1c7255b110fd08b4587e1432021b7134a1f020c32c81c26fc348c8c",
+    ("disk-quadratic", 1): "9f650a360c30c5fc6e744f31eba084f0af1114751d2c011131e85c6ac5c8c0ef",
+    ("disk-quadratic", 2): "6911940006e3e844d25d7be7502c85e88c1a239c6ec957ae79e387452375c41b",
+    ("disk-quadratic", 3): "aa451a740597f04c76f4f5579b43c43afa7005e32648cfe4251a6098c76907d0",
+}
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@functools.lru_cache(maxsize=None)
+def payload_digest(family, degree: int) -> str:
+    # cached on the family's value: a spec file equal to its built-in
+    # (bilinear-box at d=3 takes seconds) is analyzed once
+    report = collapse_order(family, degree, stop_at_first=False)
+    return hashlib.sha256(to_json_text(collapse_payload(report)).encode()).hexdigest()
+
+
+class TestCollapsePins:
+    @pytest.mark.parametrize("name, degree", sorted(COLLAPSE_PINS))
+    def test_builtin(self, name, degree):
+        family = BUILTIN_FAMILIES[name]()
+        assert payload_digest(family, degree) == COLLAPSE_PINS[name, degree]
+
+    @pytest.mark.parametrize("name, degree", sorted(COLLAPSE_PINS))
+    def test_spec_file(self, name, degree):
+        family = parse_density_spec((SPECS / f"{name}.zii").read_text())
+        assert payload_digest(family, degree) == COLLAPSE_PINS[name, degree]
+
+    def test_every_spec_file_is_pinned(self):
+        assert {p.stem for p in SPECS.glob("*.zii")} == {n for n, _ in COLLAPSE_PINS}
 
 
 class TestAdmission:

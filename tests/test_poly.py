@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_defs import substitute_chain
 from zii.errors import InexactDivision, MissingSymbol, NotUnivariate, SymbolTableMismatch
 from zii.poly import Poly
 from zii.symbols import Assumption, PI_NAME, SymbolTable
@@ -185,6 +186,17 @@ class TestRingProperties:
     @given(polys(), points)
     def test_substitute_matches_evaluation(self, p, at):
         assert p.substitute(at).constant_value() == p.evaluate(at)
+
+    @given(
+        polys(),
+        st.dictionaries(
+            st.sampled_from([n for n in ABC.names if n != PI_NAME]),
+            st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=5),
+        ),
+    )
+    def test_substitute_matches_the_subs_symbol_chain(self, p, at):
+        # partial assignments, PI never among them, so it stays symbolic
+        assert p.substitute(at) == substitute_chain(p, at)
 
     @given(polys(), polys(), points)
     def test_subs_symbol_matches_composition(self, p, r, at):

@@ -215,6 +215,29 @@ class TestSturm:
         assert rr.count == distinct
         assert want == len(roots_in)
 
+    def test_multiple_root_on_a_bisection_point_terminates(self):
+        # x^3 - x^2: the double root 0 is the midpoint of the first interval,
+        # where every member of the chain of x^3 - x^2 vanishes
+        code = (
+            "from zii.roots import isolate_real_roots\n"
+            "(a, b), (c, d) = isolate_real_roots([0, 0, -1, 1])\n"
+            "assert a < 0 <= b and c < 1 <= d\n"
+        )
+        result = run_python(code, timeout=20)
+        assert result.returncode == 0, result.stderr
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(small_fracs, min_size=1, max_size=3), st.integers(1, 3), st.booleans())
+    def test_isolation_of_repeated_roots(self, roots_in, repeat, complex_pair):
+        # each distinct root lies in exactly one interval; x^2 + 1 adds none
+        coeffs = poly_from_roots([r for r in roots_in for _ in range(repeat)])
+        if complex_pair:
+            coeffs = [a + b for a, b in zip(coeffs + [F(0)] * 2, [F(0)] * 2 + coeffs)]
+        intervals = isolate_real_roots(coeffs)
+        assert len(intervals) == len(set(roots_in))
+        for r in roots_in:
+            assert sum(lo < r <= hi for lo, hi in intervals) == 1
+
 
 class TestHelpers:
     def test_uni_eval_horner(self):
