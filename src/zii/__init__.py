@@ -82,7 +82,6 @@ __all__ = [
     "NoConvergence",
     "NonPolynomialInXY",
     "NotUnivariate",
-    "NumericDensity",
     "OrthantGamma",
     "PI_NAME",
     "ParamDecl",
@@ -109,11 +108,7 @@ __all__ = [
     "compute_mask",
     "disk_quadratic",
     "invert_exact",
-    "kibble_gamma",
     "moment_factorization_check",
-    "numeric_density",
-    "numeric_moment",
-    "numeric_zii_residuals",
     "parse_density_spec",
     "parse_expression",
     "product_exponential",
@@ -121,21 +116,3 @@ __all__ = [
     "sum_power_exp",
     "zii_equations",
 ]
-
-# the float oracle needs numpy and scipy; load it on first use of one of
-# its names, so `import zii` stays free of both
-_NUMERIC_NAMES = frozenset({
-    "NumericDensity",
-    "kibble_gamma",
-    "numeric_density",
-    "numeric_moment",
-    "numeric_zii_residuals",
-})
-
-
-def __getattr__(name: str):
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

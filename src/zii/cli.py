@@ -3,7 +3,7 @@
 Output on stdout is byte-deterministic for identical inputs; wall-clock
 timing goes to stderr only.
 Exit codes: 0 success, 2 parse errors, 3 singular matrix, 4 unsupported
-request or numeric failure, 5 constraint violation at a point.
+request, 5 constraint violation at a point.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .collapse import (
@@ -31,7 +32,7 @@ from .errors import (
     SingularMatrix,
     ZiiError,
 )
-from .inverse import invert_exact
+from .inverse import det_and_cofactors, invert_exact
 from .measures import BUILTIN_FAMILIES, DensityFamily
 from .moments import build_matrix
 from .reports import (
@@ -48,6 +49,7 @@ from .reports import (
     render_mask_svg,
     to_json_text,
 )
+from .symbols import PI_NAME
 
 MASK_DEGREE_CAP = 14
 
@@ -93,12 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample points per parameter in the grid fallback (at least 2)")
     p.add_argument("--out", metavar="FILE")
 
-    p = sub.add_parser("check", help="product-form and residual checks at a point")
+    p = sub.add_parser("check", help="product-form and inverse-mask checks at a point")
     _add_family_args(p)
     p.add_argument("--at", default="", metavar="k=v,...",
                    help="parameter assignment (exact rationals)")
     p.add_argument("--degree", type=int, default=None,
-                   help="also invert the float moment matrix at this degree")
+                   help="also report the exact mask entries of the inverse "
+                        f"moment matrix at this degree (0..{MASK_DEGREE_CAP})")
     p.add_argument("--max-pq", type=int, default=3, metavar="N",
                    help="orders covered by the factorization residual table "
                         f"(0..{MASK_DEGREE_CAP})")
@@ -211,6 +214,38 @@ def _run_collapse(args) -> tuple[dict, str]:
     return payload, human_lines(payload)
 
 
+def _inverse_mask(family: DensityFamily, point: dict[str, Fraction], degree: int) -> dict:
+    """The mask entries of M_d^(-1) at a checked point, exactly.
+
+    Every moment at the point must be a rational times one power PI^k
+    (k = 1 on the disk, 0 elsewhere); then each entry of the inverse, a
+    cofactor over the determinant, is a rational over PI^k.
+    """
+    matrix = build_matrix(family, degree)
+    at = {p: p.substitute(point) for p in set(chain.from_iterable(matrix.entries))}
+    pi = family.table.index(PI_NAME)
+    powers = {e[pi] for p in at.values() for e in p.terms}
+    if len(powers) > 1:
+        raise ConstraintViolation("the moments at this point mix powers of the constant PI")
+    mask = compute_mask(degree)
+    rows = [[at[p] for p in row] for row in matrix.entries]
+    det, cofactors = det_and_cofactors(rows, mask.pairs)
+    if det.is_zero:
+        raise SingularMatrix(f"the moment matrix at degree {degree} is singular at this point")
+    (d,) = det.terms.values()
+    entries = [sum(c.terms.values(), Fraction(0)) / d for c in cofactors]
+    k = powers.pop()
+    return {
+        "degree": degree,
+        "unit": "1" if k == 0 else "1/PI" if k == 1 else f"1/PI^{k}",
+        "max_abs": frac(max(map(abs, entries), default=Fraction(0))),
+        "entries": [
+            {"row": r + 1, "col": c + 1, "value": frac(v)}
+            for (r, c), v in zip(mask.pairs, entries)
+        ],
+    }
+
+
 def _run_check(args) -> tuple[dict, str]:
     _check_range("--max-pq", args.max_pq, 0, MASK_DEGREE_CAP)
     if args.degree is not None:
@@ -218,9 +253,10 @@ def _run_check(args) -> tuple[dict, str]:
     family = _load_family(args)
     point = _parse_point(args.at)
     verdict = check_product_form(family, point)
+    point = family.check_point(point)
     results = {
         "family": family.name,
-        "point": point_payload(family.check_point(point)),
+        "point": point_payload(point),
         "verdict": verdict.value,
     }
     fact = moment_factorization_check(family, point, args.max_pq, args.max_pq)
@@ -234,18 +270,7 @@ def _run_check(args) -> tuple[dict, str]:
     }
     arguments = {**_family_argument(args), "at": args.at, "max_pq": args.max_pq}
     if args.degree is not None:
-        from .numeric import numeric_density, numeric_zii_residuals
-
-        nd = numeric_density(family, point)
-        res = numeric_zii_residuals(nd, args.degree)
-        results["numeric"] = {
-            "degree": args.degree,
-            "condition": res.condition,
-            "max_abs": res.max_abs,
-            "entries": [
-                {"row": r + 1, "col": c + 1, "value": v} for (r, c), v in res.entries
-            ],
-        }
+        results["inverse_mask"] = _inverse_mask(family, point, args.degree)
         arguments["degree"] = args.degree
     payload = finalize("check", arguments, results)
     return payload, human_lines(payload)

@@ -88,16 +88,20 @@ def _double_factorial(n: int) -> int:
     return result
 
 
+def _rising_coefficients(start: int, count: int) -> list[int]:
+    """Ascending coefficients in s of prod_{t=start}^{start+count-1} (s + t)."""
+    coeffs = [1]
+    for t in range(start, start + count):
+        # multiply by (s + t): c_k <- c_(k-1) + t * c_k
+        coeffs = [a + t * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
 def _rising(table: SymbolTable, shape: Union[Fraction, str], count: int) -> Poly:
     """prod_{t=0}^{count-1} (shape + t) as a polynomial (constant if rational)."""
     if isinstance(shape, str):
-        base = Poly.symbol(table, shape)
-    else:
-        base = Poly.const(table, shape)
-    out = Poly.const(table, 1)
-    for t in range(count):
-        out = out * (base + t)
-    return out
+        return Poly.from_univariate(table, shape, _rising_coefficients(0, count))
+    return Poly.const(table, math.prod((shape + t for t in range(count)), start=Fraction(1)))
 
 
 def base_monomial_moment(base: BaseMeasure, i: int, j: int, table: SymbolTable) -> Poly:
@@ -153,21 +157,6 @@ class Constraint:
 
     def __str__(self) -> str:
         return f"{self.poly} {self.relation} 0"
-
-
-# cache of the rising products prod_{k=2}^{m+1}(sym + k) used by sum-power-exp;
-# keyed by (table, symbol) holding the incrementally extended list
-_SPE_CACHE: dict[tuple[SymbolTable, str], list[Poly]] = {}
-
-
-def _spe_product(table: SymbolTable, name: str, m: int) -> Poly:
-    key = (table, name)
-    prods = _SPE_CACHE.setdefault(key, [Poly.const(table, 1)])
-    sym = Poly.symbol(table, name)
-    while len(prods) <= m:
-        k = len(prods) + 1  # next factor is (sym + k) with k = m+1
-        prods.append(prods[-1] * (sym + k))
-    return prods[m]
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,9 @@ class DensityFamily:
         if self.kind == SUM_POWER_EXP:
             m = p + q
             ratio = Fraction(math.factorial(p) * math.factorial(q), math.factorial(m + 1))
-            out = _spe_product(self.table, self.kind_symbol, m) * ratio
+            # prod_{k=2}^{m+1} (l + k)
+            rising = _rising_coefficients(2, m)
+            out = Poly.from_univariate(self.table, self.kind_symbol, [c * ratio for c in rising])
         else:
             out = Poly.zero(self.table)
             for (i, j), coeff in self.coeffs:

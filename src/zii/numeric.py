@@ -1,4 +1,8 @@
-"""Floating-point cross-checks for the exact pipeline.
+"""Floating-point reference for the exact pipeline.
+
+This is a reference module: nothing else under `zii` imports it, so the
+package and the CLI run without numpy and scipy, which only this module
+needs.  The tests and the benchmark import it directly.
 
 Everything here is a control: adaptive Gauss quadrature recomputes
 moments that the closed forms produce exactly, and pivoted floating

@@ -214,27 +214,6 @@ class Poly:
             total += term
         return total
 
-    def evaluate_float(self, assignment: Mapping[str, float] = {}) -> float:
-        """Float value; symbols with fixed numeric meaning (PI) fill themselves."""
-        values: list[float | None] = [
-            self.table.numeric_value(n) for n in self.table.names
-        ]
-        for name, value in assignment.items():
-            values[self.table.index(name)] = float(value)
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if values[i] is None:
-                    raise MissingSymbol(
-                        f"no value supplied for {self.table.names[i]!r} in float evaluation"
-                    )
-                term *= values[i] ** e
-            total += term
-        return total
-
     def substitute(self, assignment: Mapping[str, object]) -> "Poly":
         """Partially evaluate some symbols at exact rational values.
 

@@ -341,11 +341,12 @@ def _human_check(results: dict) -> list[str]:
             row = "  ".join(table[(p, q)] for q in range(f["max_q"] + 1))
             lines.append(f"  p={p}:  {row}")
         lines.append(f"max |residual| = {f['max_abs']}")
-    if "numeric" in results:
-        n = results["numeric"]
+    if "inverse_mask" in results:
+        m = results["inverse_mask"]
+        unit = "" if m["unit"] == "1" else f", in units of {m['unit']}"
         lines.append(
-            f"numeric mask residuals at degree {n['degree']}: "
-            f"max |entry| = {n['max_abs']:.3e} (condition {n['condition']:.3e})"
+            f"mask entries of the inverse at degree {m['degree']}{unit}: "
+            f"max |entry| = {m['max_abs']}"
         )
     return lines
 

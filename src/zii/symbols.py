@@ -8,14 +8,13 @@ family happened to be constructed.
 
 The constant PI is treated as an ordinary table symbol with a positivity
 assumption.  Keeping it symbolic is what lets disk-domain moments stay
-exact; it only ever enters and leaves through known-nonzero stripping or
-explicit numeric evaluation.
+exact; it only ever leaves through known-nonzero stripping, or factored
+out as a stated power PI^k.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -79,10 +78,6 @@ class SymbolTable:
 
     def assumption(self, name: str) -> Assumption:
         return self.assumptions[self.index(name)]
-
-    def numeric_value(self, name: str) -> float | None:
-        """Float value for symbols with a fixed numeric meaning (only PI)."""
-        return math.pi if name == PI_NAME else None
 
 
 def coerce_rational(value) -> Fraction:

@@ -25,7 +25,7 @@ where Poly.substitute makes one integer pass.  The univariate gcd, Sturm chain a
 Fractions, where the library runs them over the integers on primitive
 parts; the real-root oracle takes its rational roots from sympy's
 factorization instead of the Sturm isolation.  The float oracles evaluate
-the closed-form moments at a point, and the correlated-gamma density
+a polynomial and the closed-form moments at a point, and the correlated-gamma density
 through the plain power series of I0 where the library recombines
 scipy's scaled i0e in log space.
 """
@@ -633,12 +633,22 @@ def substitute_chain(poly: Poly, assignment: dict) -> Poly:
     return out
 
 
+def evaluate_float(poly: Poly, assignment: dict = {}) -> float:
+    """Float value of a polynomial; PI takes math.pi unless assigned."""
+    values = {PI_NAME: math.pi, **{n: float(v) for n, v in assignment.items()}}
+    total = 0.0
+    for exps, coeff in poly.terms.items():
+        term = float(coeff)
+        for name, e in zip(poly.table.names, exps):
+            if e:
+                term *= values[name] ** e
+        total += term
+    return total
+
+
 def exact_moment_float(family, point: dict[str, Fraction], p: int, q: int) -> float:
     """Float value of the closed-form moment at a point (PI filled in)."""
-    values = family.check_point(point)
-    assignment = {n: float(v) for n, v in values.items()}
-    assignment[PI_NAME] = math.pi
-    return family.moment(p, q).evaluate_float(assignment)
+    return evaluate_float(family.moment(p, q), family.check_point(point))
 
 
 def bessel_i0(z: float) -> float:

@@ -22,6 +22,7 @@ import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, record_criterion, record_note
 from oracle_defs import (
     disk_moment_oracle_pi_coefficient,
+    evaluate_float,
     mask_bruteforce_oracle,
     raw_equations_oracle,
 )
@@ -243,7 +244,7 @@ def test_criterion_05_disk_equations():
             det = np.linalg.det(m)
             assert abs(det) > 1e-12
             adj_entry = np.linalg.inv(m)[3, 5] * det
-            ours = eq_35.evaluate_float({k: float(v) for k, v in at.items()})
+            ours = evaluate_float(eq_35, at)
             assert abs(adj_entry) > 1e-9 and abs(ours) > 1e-9
             agree = (adj_entry > 0) == (ours > 0)
             if sigma is None:
@@ -337,7 +338,7 @@ def test_criterion_08_quadrature_oracle():
             nd = numeric_density(fam, {})
             for p in range(9):
                 for q in range(9 - p):
-                    want = fam.moment(p, q).evaluate_float()
+                    want = evaluate_float(fam.moment(p, q))
                     got = numeric_moment(nd, p, q)
                     scale = max(1.0, abs(want))
                     assert abs(got - want) / scale < 1e-9, (text, p, q)

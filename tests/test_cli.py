@@ -120,6 +120,27 @@ class TestExitCodes:
         res = run_cli(["inverse", "--spec", str(zero), "--degree", "1"])
         assert res.returncode == 3
 
+    def test_singular_point_is_three(self):
+        # a collapse witness of disk-quadratic where det M_1 is exactly zero;
+        # a float inversion called it ill-conditioned (condition 6.071e+15)
+        res = run_cli(
+            ["check", "--family", "disk-quadratic", "--at", "a=-2,b=1,c=-1,d=0,v=1",
+             "--degree", "1"]
+        )
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: the moment matrix at degree 1 is singular at this point"
+        ]
+
+    def test_pi_mixed_into_the_moments_is_five(self, tmp_path):
+        # on the disk every moment of 1 + PI*x^2 is PI*r + PI^2*s
+        spec = tmp_path / "pi.zii"
+        spec.write_text("family: t\ndomain: unit-disk\ndensity: 1 + PI*x^2\n")
+        res = run_cli(["check", "--spec", str(spec), "--max-pq", "0", "--degree", "1"])
+        assert res.returncode == 5
+        assert "mix powers of the constant PI" in res.stderr
+
     def test_degree_cap_is_four(self):
         res = run_cli(["mask", "--degree", "15"])
         assert res.returncode == 4

@@ -1,6 +1,8 @@
-"""`import zii` stays light: sympy, numpy and scipy load only when used.
+"""`import zii` stays light: sympy loads only when used, numpy and scipy never.
 
 sympy is only the general gcd fallback, which no built-in family reaches.
+numpy and scipy serve only the float reference `zii.numeric`, which
+nothing under `zii` imports.
 """
 
 from __future__ import annotations
@@ -35,25 +37,41 @@ def test_import_leaves_heavy_modules_out():
     assert result.stdout.strip() == "[]"
 
 
-def test_numeric_names_load_on_first_use():
+def test_star_import_covers_all():
     code = (
-        "import sys\n"
-        "from zii import numeric_density\n"
-        "assert callable(numeric_density)\n"
-        "assert 'numpy' in sys.modules\n"
         "from zii import *\n"
         "import zii\n"
         "missing = [n for n in zii.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
-        "assert NumericDensity is zii.numeric.NumericDensity\n"
-        "try:\n"
-        "    zii.no_such_name\n"
-        "except AttributeError:\n"
-        "    print('ok')\n"
+        "print('ok')\n"
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_golden_commands_run_without_numpy_and_scipy(tmp_path):
+    # None in sys.modules makes every import of the name fail
+    jobs = [
+        ([*args, "--out", str(tmp_path / path.name)] if uses_out else args, str(path), uses_out)
+        for args, path, uses_out in golden_commands()
+    ]
+    assert any(args[0] == "check" and "--degree" in args for args, _, _ in jobs)
+    code = (
+        "import contextlib, io, pathlib, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from zii import cli\n"
+        f"for argv, golden, uses_out in {jobs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    got = pathlib.Path(argv[-1]).read_text() if uses_out else out.getvalue()\n"
+        "    assert got == pathlib.Path(golden).read_text(), argv\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if sys.modules[m] is not None))\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_equations_of_builtins_leave_sympy_out():

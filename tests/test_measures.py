@@ -43,6 +43,21 @@ class TestBaseMoments:
                 got = base_monomial_moment(base, i, j, EMPTY).constant_value()
                 assert got == orthant_gamma_moment_oracle(i, j, k1, k2)
 
+    def test_symbolic_shapes_vs_oracle(self):
+        # a symbolic shape gives each moment as a polynomial in s and t,
+        # which must agree with the oracle wherever the shapes are evaluated
+        table = SymbolTable.build(["s", "t"])
+        base = OrthantGamma("s", "t")
+        shapes = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2)]
+        for i in range(6):
+            for j in range(6 - i):
+                got = base_monomial_moment(base, i, j, table)
+                assert got.degree_in("s") == i and got.degree_in("t") == j
+                for k1 in shapes:
+                    for k2 in shapes:
+                        want = orthant_gamma_moment_oracle(i, j, k1, k2)
+                        assert got.evaluate({"s": k1, "t": k2}) == want, (i, j, k1, k2)
+
     def test_unit_box_vs_oracle(self):
         base = UnitBox()
         for i in range(7):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
 import scipy.special
 
+from test_cli import run_cli
 from zii.measures import (
+    BUILTIN_FAMILIES,
     bilinear_box,
     disk_quadratic,
     product_exponential,
@@ -132,3 +136,31 @@ class TestNumericResiduals:
         res = numeric_zii_residuals(nd, 1)
         assert res.residual(1, 2) == pytest.approx(float(want), rel=1e-8)
         assert want == F(1, 12)
+
+
+class TestCheckAgainstFloatInverse:
+    """`zii check --degree` reads the mask entries exactly; the float inverse agrees."""
+
+    @pytest.mark.parametrize(
+        "family,at,degree,unit",
+        [
+            ("sum-power-exp", "ell=1", 1, 1.0),
+            ("sum-power-exp", "ell=1", 2, 1.0),
+            ("bilinear-box", "a00=1,a01=1/4,a10=1/4,a11=0", 2, 1.0),
+            ("disk-quadratic", "a=1,b=0,c=0,d=1,v=1", 2, math.pi),
+        ],
+    )
+    def test_mask_entries_match(self, family, at, degree, unit, tmp_path):
+        out = tmp_path / "check.json"
+        res = run_cli(["check", "--family", family, "--at", at, "--degree", str(degree),
+                       "--max-pq", "0", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        exact = json.loads(out.read_text())["results"]["inverse_mask"]
+        assert exact["unit"] == ("1/PI" if unit != 1.0 else "1")
+        point = {k: F(v) for k, v in (kv.split("=") for kv in at.split(","))}
+        numeric = numeric_zii_residuals(numeric_density(BUILTIN_FAMILIES[family](), point), degree)
+        got = {(e["row"] - 1, e["col"] - 1): float(F(e["value"])) / unit for e in exact["entries"]}
+        assert list(got) == [pair for pair, _ in numeric.entries]
+        for pair, value in numeric.entries:
+            assert got[pair] == pytest.approx(value, abs=1e-9), pair
+        assert float(F(exact["max_abs"])) / unit == pytest.approx(numeric.max_abs, abs=1e-9)

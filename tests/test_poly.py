@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_defs import substitute_chain
+from oracle_defs import evaluate_float, substitute_chain
 from zii.errors import InexactDivision, MissingSymbol, NotUnivariate, SymbolTableMismatch
 from zii.poly import Poly
 from zii.symbols import Assumption, PI_NAME, SymbolTable
@@ -92,7 +92,8 @@ class TestPinnedValues:
 
     def test_evaluate_float_fills_pi(self):
         pi = sym(AD, PI_NAME)
-        assert (pi * pi).evaluate_float() == pytest.approx(math.pi**2)
+        assert evaluate_float(pi * pi) == pytest.approx(math.pi**2)
+        assert evaluate_float(pi * sym(AD, "a"), {"a": Fraction(1, 2)}) == pytest.approx(math.pi / 2)
 
     def test_evaluate_missing_symbol(self):
         with pytest.raises(MissingSymbol):
